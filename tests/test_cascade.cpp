@@ -624,6 +624,18 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_GT(s1.gated_out, 0) << "gate never stopped a request — threshold "
                              << threshold << " gives no signal";
   EXPECT_GT(s1.full_runs, 0) << "gate never passed a request";
+  // The pinned outcome: placement, gates and retries run on modeled time,
+  // so these integers reproduce on any machine. A change here means the
+  // stage walk decided differently — a reviewable event, not noise.
+  EXPECT_EQ(s1.ok, 676);
+  EXPECT_EQ(s1.shed, 373);
+  EXPECT_EQ(s1.deadline_exceeded, 0);
+  EXPECT_EQ(s1.failed, 1);
+  EXPECT_EQ(s1.retries, 89);
+  EXPECT_EQ(s1.gated_out, 647);
+  EXPECT_EQ(s1.full_runs, 29);
+  EXPECT_EQ(s1.stage_assignment,
+            (std::vector<std::vector<int>>{{700, 152, 34}, {5, 17, 7}}));
 
   const CascadeSummary s16 =
       cascade_soak_once(det_paths, cls_paths, threshold, 16);

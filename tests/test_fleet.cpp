@@ -538,6 +538,12 @@ TEST_F(FleetTest, SoakPlacementIsBitIdenticalAcrossWorkerCounts) {
   // means the placement policy (or the cost model) changed — that is a
   // reviewable event, not noise.
   EXPECT_EQ(s1.assignment, (std::vector<int>{698, 161, 28}));
+  EXPECT_EQ(s1.ok, 887);
+  EXPECT_EQ(s1.shed, 163);
+  EXPECT_EQ(s1.deadline_exceeded, 0);
+  EXPECT_EQ(s1.failed, 0);
+  EXPECT_EQ(s1.retries, 78);
+  EXPECT_EQ(s1.spillovers, 514);
 
   const FleetSummary s16 = soak_once(paths, 16);
   EXPECT_EQ(s1.ok, s16.ok);

@@ -600,6 +600,25 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
   EXPECT_GT(v1, 0);
   EXPECT_GT(v2, 0);
 
+  // The pinned outcome: every decision runs on modeled time, which is
+  // machine-independent, so these integers reproduce everywhere. A change
+  // here means admission, retry, deadline or swap routing changed. The
+  // version split counts requests that reached a lane (shed requests
+  // never run on a version).
+  EXPECT_EQ(base.ok, 798);
+  EXPECT_EQ(base.shed, 224);
+  EXPECT_EQ(base.deadline_exceeded, 10);
+  EXPECT_EQ(base.failed, 18);
+  EXPECT_EQ(base.retries, 118);
+  EXPECT_EQ(base.max_queue_depth, 10);
+  int dispatched_v1 = 0, dispatched_v2 = 0;
+  for (const auto& rr : base.results) {
+    if (rr.status.code == StatusCode::kShed) continue;
+    (rr.plan_version == 1 ? dispatched_v1 : dispatched_v2)++;
+  }
+  EXPECT_EQ(dispatched_v1, 429);
+  EXPECT_EQ(dispatched_v2, 397);
+
   // Deterministic: a repeat run AND a different real worker count produce
   // bit-identical accounting and bit-exact Ok outputs.
   for (const int workers : {4, 2}) {
