@@ -10,13 +10,14 @@
 //
 // Three properties carry over from the single-model serving plane and one
 // is new:
-//   - DETERMINISM: every stage's admission/deadline/retry/placement
-//     decision runs in virtual time against the same simulated lanes as
-//     ModelServer/FleetServer, so per-stage shed/deadline/retry counts and
-//     shard assignments are bit-identical across real worker counts.
-//     Stages execute under a stage barrier (all stage-s decisions, then
-//     all stage-s forwards, then the gates), so gate verdicts — which
-//     depend on real outputs — are sequenced deterministically too.
+//   - DETERMINISM: a cascade is the scheduler's stage walk
+//     (scheduler.hpp) with one round per stage, so every stage's
+//     admission/deadline/retry/placement decision runs in virtual time
+//     and per-stage shed/deadline/retry counts and shard assignments are
+//     bit-identical across real worker counts. Each round decides all of
+//     its stage, then runs its forwards, then applies the gates, so gate
+//     verdicts — which depend on real outputs — are sequenced
+//     deterministically too.
 //   - CASCADE-LEVEL DEADLINE: a request's deadline budget is measured
 //     from its ORIGINAL arrival and spans every stage; stage N+1 inherits
 //     whatever stage N left of it.

@@ -30,28 +30,27 @@
 // (exactly — a KernelCost is geometry-pure, see runtime.hpp). One probe per
 // (model, shape) covers the whole fleet.
 //
-// DETERMINISM extends DESIGN.md §9 to multiple shards: placement, spill,
-// shed, deadline and retry verdicts all run in virtual time against the
-// per-shard lane heaps, so the per-shard assignment histogram and every
-// count are bit-identical across runs and real worker counts (asserted by
-// tests/test_fleet.cpp's soak and the `pbc fleet-check` smoke). Real
+// A fleet is an N-shard Scheduler (scheduler.hpp, DESIGN.md §9–§10): the
+// same stage walk a ModelServer runs on its one shard, so placement,
+// spill, shed, deadline and retry verdicts all run in virtual time against
+// the per-shard lane heaps, and the per-shard assignment histogram and
+// every count are bit-identical across runs and real worker counts
+// (tests/test_fleet.cpp's soak and the `pbc fleet-check` smoke). Real
 // forwards then execute per shard, per model version, through the same
 // zero-compile / zero-allocation BatchRunner path as a single server —
 // outputs are bit-exact across profiles because oclsim kernels do real
 // host arithmetic; only the modeled clock differs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/fault.hpp"
 #include "serve/model_server.hpp"
+#include "serve/scheduler.hpp"
 
 namespace phonebit::serve {
 
@@ -151,7 +150,7 @@ class FleetServer {
 
   int shard_count() const noexcept { return static_cast<int>(shards_.size()); }
   const FleetConfig& config() const noexcept { return config_; }
-  const FaultPlan& faults() const noexcept { return faults_; }
+  const FaultPlan& faults() const noexcept { return scheduler_.faults(); }
   const std::string& name() const noexcept { return name_; }
 
   /// The shard's engine / simulated device profile (shard ∈ [0, count)).
@@ -187,7 +186,8 @@ class FleetServer {
   /// Serves a workload trace: deterministic virtual-time placement across
   /// the shards, then parallel per-shard execution of the admitted
   /// requests. One run() at a time per fleet (concurrent calls throw);
-  /// swap_model_on from OTHER threads stays legal.
+  /// swap_model_on from OTHER threads stays legal and applies from the
+  /// next run.
   FleetSummary run(std::vector<Request> workload);
 
   /// Serves a workload trace through a model CASCADE across the fleet
@@ -214,76 +214,23 @@ class FleetServer {
   int total_arena_growth_events() const;
 
  private:
-  /// One per-shard repository entry (ModelServer::Entry shape).
-  struct Entry {
-    std::string model;
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  /// A shard: the simulated phone, its engine, its repository and its
-  /// probe session (lazily minted for cost probes).
+  /// A shard: the simulated phone and its engine. Its repository, probe
+  /// session and lanes live in the scheduler.
   struct Shard {
     ShardSpec spec;
     oclsim::DeviceProfile profile;
     std::shared_ptr<oclsim::Device> device;
     std::unique_ptr<core::Engine> engine;
-    std::vector<Entry> repo;
-    std::unique_ptr<core::ExecSession> probe;
   };
 
-  /// Snapshot of one shard's entry taken under the repository lock.
-  struct Snapshot {
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  Shard& shard_at(int shard);
   const Shard& shard_at(int shard) const;
-  Entry* find_entry(Shard& s, const std::string& model);
-  const Entry* find_entry(const Shard& s, const std::string& model) const;
-  Snapshot snapshot(int shard, const std::string& model) const;
-
-  /// Loads + validates `path` for shard `shard` (fault seam + that shard's
-  /// profile validation). Consumes one fleet-wide load-sequence number for
-  /// FaultPlan::artifact_load_fails. Caller holds repo_mu_.
-  std::shared_ptr<const artifact::LoadedArtifact> checked_load(
-      int shard, const std::string& path);
 
   const FleetConfig config_;
-  const FaultPlan faults_;
   const std::string name_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex repo_mu_;
-  std::uint64_t load_seq_ = 0;  ///< fleet-wide load attempts (fault keying)
-
-  /// Probe cache (caller-thread only; guarded by one-run-at-a-time).
-  struct ProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    std::vector<double> per_shard_ms;
-  };
-  std::vector<ProbeEntry> probe_cache_;
-
-  /// Cascade pricing across profiles: the probe shard runs a FILL forward
-  /// (empty plane cache — same cost as plain) and, when the plan is
-  /// cache-active, a REUSE forward (filled cache, split skipped); both
-  /// event logs replay per profile, giving every shard's plain and reuse
-  /// cost from one probe pair.
-  struct CascadeProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    std::vector<double> plain_ms;  ///< per shard
-    std::vector<double> reuse_ms;  ///< per shard
-    bool cache_active = false;
-  };
-  std::vector<CascadeProbeEntry> cascade_probe_cache_;
-
-  std::atomic<bool> running_{false};
+  std::vector<Shard> shards_;
+  /// Declared after shards_: its runners and probe sessions reference the
+  /// shards' engines, so it is destroyed first.
+  Scheduler scheduler_;
 };
 
 }  // namespace phonebit::serve

@@ -11,65 +11,40 @@
 // Failure is a value: every submitted request comes back with exactly one
 // RequestStatus — Ok, Shed (rejected at admission, never executed),
 // DeadlineExceeded (past its budget before execution could complete), or
-// Failed{error} (bad input, exhausted retries). Nothing is lost and one
-// poisoned request never destroys its neighbors.
+// Failed{error} (unknown model, wrong input shape, exhausted retries).
+// Nothing is lost, and a request that can never run is failed before
+// admission, so it holds no queue slot and costs its neighbours nothing.
 //
-// DETERMINISM is the design's organizing trick (DESIGN.md §9): admission,
-// deadline, retry and shed decisions run against VIRTUAL time — the
-// workload's arrival timestamps plus the engine's deterministic modeled
-// device latencies — on a fixed number of simulated service lanes
-// (`ServerConfig::lanes`), not against host wall time. The modeled latency
-// of a plan depends only on geometry, so the entire decision sequence is a
-// pure function of (workload, config, fault plan): the same seed and trace
-// produce bit-identical shed/retry/failure counts whether real execution
-// uses 1 worker or 16, run after run. Real forwards then execute in
-// parallel for the requests that were admitted — requests that were shed
-// or expired are never executed at all.
+// A ModelServer is a one-shard Scheduler (scheduler.hpp, DESIGN.md §9)
+// over the borrowed Engine: run() walks one stage routed by
+// Request::model, run_cascade() walks a CascadeSpec's stages, and both
+// make every admission, deadline, retry and shed decision in VIRTUAL
+// time — the trace's arrival timestamps plus the plan's modeled device
+// latency on `ServerConfig::lanes` simulated lanes, never host wall time.
+// The decision sequence is a pure function of (workload, config, fault
+// plan): the same trace gives bit-identical accounting whether real
+// execution uses 1 worker or 16. Shed and expired requests never execute.
 //
 // Hot-swap lifecycle: swap_model loads + validates the incoming artifact
 // FIRST; only a fully validated artifact replaces the repository entry
 // (version bump, fresh BatchRunner). A corrupt or over-budget artifact
-// throws and the old model keeps serving — rollback is the no-op. Requests
-// capture a shared_ptr to their artifact at dispatch, so in-flight work
-// finishes on the old plan while new requests route to the new one; every
-// request runs against exactly one plan version, never a mix. Scheduled
-// SwapEvents inside a run() trace apply at a virtual timestamp, making the
-// version served per request deterministic too.
+// throws and the old model keeps serving — rollback is the no-op. A run
+// sees the repository as it stood when the run began plus its own
+// scheduled SwapEvents, each applying from its virtual timestamp on; every
+// request runs against exactly one plan version, never a mix. A swap_model
+// from another thread during a run applies from the next run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/cascade.hpp"
 #include "serve/fault.hpp"
+#include "serve/scheduler.hpp"
 
 namespace phonebit::serve {
-
-/// One request of a workload trace: which model, what input, when it
-/// arrives (virtual ms since trace start) and how long it is willing to
-/// wait end-to-end (0 = use ServerConfig::default_deadline_ms; negative =
-/// explicitly no deadline).
-struct Request {
-  std::string model;
-  core::Blob input;
-  double arrival_ms = 0.0;
-  double deadline_ms = 0.0;
-};
-
-/// A scheduled hot-swap inside a run() trace: at virtual time `at_ms`,
-/// replace `model` with the artifact at `path` (subject to load validation
-/// and FaultPlan::artifact_load_fails — a failed load rolls back).
-struct SwapEvent {
-  double at_ms = 0.0;
-  std::string model;
-  std::string path;
-};
 
 /// Per-request outcome: the status, the forward result (Ok only), and the
 /// virtual-time accounting every decision was made with.
@@ -170,7 +145,8 @@ class ModelServer {
   /// decisions in virtual time, then parallel execution of the admitted
   /// requests. `swaps` schedules hot-swaps at virtual timestamps inside
   /// the trace. One run() at a time per server (concurrent calls throw,
-  /// naming the server); swap_model from OTHER threads stays legal.
+  /// naming the server); swap_model from OTHER threads stays legal and
+  /// applies from the next run.
   ServerSummary run(std::vector<Request> workload,
                     std::vector<SwapEvent> swaps = {});
 
@@ -189,78 +165,13 @@ class ModelServer {
                              std::vector<SwapEvent> swaps = {});
 
   const ServerConfig& config() const noexcept { return config_; }
-  const FaultPlan& faults() const noexcept { return faults_; }
+  const FaultPlan& faults() const noexcept { return scheduler_.faults(); }
   const std::string& name() const noexcept { return name_; }
 
  private:
-  /// One repository entry: the loaded artifact, the runner bound to it,
-  /// and the version counter. Runners are shared_ptr so a swap can replace
-  /// the entry while an older runner finishes its in-flight batch.
-  struct Entry {
-    std::string model;
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  /// Snapshot of an entry taken under the repository lock at dispatch.
-  struct Snapshot {
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  Entry* find_entry(const std::string& model);
-  const Entry* find_entry(const std::string& model) const;
-  Snapshot snapshot(const std::string& model) const;
-
-  /// Loads + validates `path` (fault seam + device validation). Each call
-  /// consumes one load-sequence number for FaultPlan::artifact_load_fails.
-  std::shared_ptr<const artifact::LoadedArtifact> checked_load(
-      const std::string& path);
-
-  /// Modeled device latency of one forward of `input` through `snap`'s
-  /// plan — geometry-deterministic, measured once per (artifact, desc) on
-  /// the probe session and cached.
-  double modeled_ms_for(const Snapshot& snap, const core::Blob& input);
-
-  core::Engine& engine_;
   const ServerConfig config_;
-  const FaultPlan faults_;
   const std::string name_;
-
-  mutable std::mutex repo_mu_;
-  std::vector<Entry> repo_;
-  std::uint64_t load_seq_ = 0;  ///< artifact loads attempted (fault keying)
-
-  /// Probe session + modeled-latency cache (caller-thread only; guarded by
-  /// the one-run-at-a-time contract).
-  std::unique_ptr<core::ExecSession> probe_;
-  struct ProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    double modeled_ms = 0.0;
-  };
-  std::vector<ProbeEntry> probe_cache_;
-
-  /// Cascade pricing (DESIGN.md §13): a stage costs `plain_ms` on a cold
-  /// request and `reuse_ms` when the request already carries filled input
-  /// planes (the split kernel is skipped). `cache_active` records whether
-  /// this plan participates in plane caching at all (interior-split input
-  /// conv) — measured once per (plan, desc) by probing twice: a fill run
-  /// against an empty cache, then a reuse run against the filled one.
-  struct CascadeProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    double plain_ms = 0.0;
-    double reuse_ms = 0.0;
-    bool cache_active = false;
-  };
-  std::vector<CascadeProbeEntry> cascade_probe_cache_;
-  const CascadeProbeEntry& cascade_probe(const Snapshot& snap,
-                                         const core::Blob& input);
-
-  std::atomic<bool> running_{false};
+  Scheduler scheduler_;
 };
 
 }  // namespace phonebit::serve

@@ -4,8 +4,8 @@
 // admission/deadline/retry/placement decision against VIRTUAL time: arrival
 // timestamps from the workload trace plus geometry-deterministic modeled
 // latencies, draining through a fixed number of simulated service lanes.
-// These helpers are that machinery, shared by BatchRunner, ModelServer and
-// FleetServer so single-server and fleet placement agree on one clock.
+// These helpers are that machinery: the Scheduler's stage walk
+// (scheduler.hpp) decides with them, BatchRunner reports with them.
 #pragma once
 
 #include <algorithm>

@@ -20,6 +20,7 @@
 //     histogram pinned) whether shards execute with 1 or 16 real workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -261,6 +262,111 @@ TEST_F(FleetTest, ModelMissingEverywhereFailsAsValue) {
   EXPECT_EQ(s.failed, 1);
   EXPECT_NE(s.results[1].status.error.find("not loaded on any shard"),
             std::string::npos);
+}
+
+// A ModelServer is a one-shard walk: on the same profile, lanes and queue
+// limit, a one-shard fleet must decide every request of a seeded trace
+// with faults, deadlines and mis-shaped inputs identically — status,
+// attempts, retries and both virtual clocks — for plain runs and cascades.
+TEST_F(FleetTest, OneShardFleetDecidesExactlyLikeModelServer) {
+  const std::string det = save_quicknet("diff_det", 111);
+  const std::string cls = save_quicknet("diff_cls", 112);
+  FaultPlan faults;
+  faults.seed = 0xD1FF;
+  faults.transient_rate = 0.1;
+  faults.spike_rate = 0.05;
+  faults.spike_ms = 1.5;
+
+  serve::ServerConfig scfg;
+  scfg.exec_workers = 2;
+  scfg.lanes = 2;
+  scfg.queue_limit = 3;
+  scfg.max_retries = 2;
+  scfg.retry_backoff_ms = 0.5;
+  scfg.default_deadline_ms = 2.0;
+  FleetConfig fcfg;
+  fcfg.shards.push_back(ShardSpec{"solo", "sd855", 2});
+  fcfg.exec_workers = scfg.exec_workers;
+  fcfg.lanes_per_shard = scfg.lanes;
+  fcfg.queue_limit = scfg.queue_limit;
+  fcfg.max_retries = scfg.max_retries;
+  fcfg.retry_backoff_ms = scfg.retry_backoff_ms;
+  fcfg.default_deadline_ms = scfg.default_deadline_ms;
+
+  serve::ModelServer server(*engine_, scfg, faults);
+  server.load_model("det", det);
+  server.load_model("cls", cls);
+  FleetServer fleet(fcfg, faults);
+  fleet.load_model("det", {det});
+  fleet.load_model("cls", {cls});
+
+  // Steady overload plus a burst; every 9th input has the wrong shape.
+  auto trace = [] {
+    std::vector<Request> w = steady("det", 200, 2000, 0.6);
+    for (Request& r : steady("det", 40, 2500, 0.0, 60.0)) {
+      w.push_back(std::move(r));
+    }
+    for (std::size_t i = 0; i < w.size(); i += 9) {
+      w[i].input = core::Blob{datasets::random_image(Shape{1, 16, 16, 3}, i)};
+    }
+    return w;
+  };
+
+  const serve::ServerSummary a = server.run(trace());
+  const FleetSummary b = fleet.run(trace());
+  EXPECT_GT(a.ok, 0);
+  EXPECT_GT(a.shed, 0);
+  EXPECT_GT(a.deadline_exceeded, 0);
+  EXPECT_GT(a.failed, 0);
+  EXPECT_GT(a.retries, 0);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const auto& x = a.results[i];
+    const auto& y = b.results[i];
+    ASSERT_EQ(x.status.code, y.status.code) << "request " << i;
+    EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
+    EXPECT_EQ(x.retries, y.retries) << "request " << i;
+    EXPECT_EQ(x.queue_ms, y.queue_ms) << "request " << i;
+    EXPECT_EQ(x.latency_ms, y.latency_ms) << "request " << i;
+  }
+
+  serve::CascadeSpec spec;
+  spec.name = "diff";
+  serve::StageGate gate;
+  gate.kind = serve::StageGate::Kind::kMaxAtLeast;
+  const FloatTensor peak = reference(det, image(2000)).float_output();
+  gate.threshold = *std::max_element(peak.data(), peak.data() + peak.elems());
+  spec.stages.push_back(serve::CascadeStageSpec{"det", gate});
+  spec.stages.push_back(serve::CascadeStageSpec{"cls", serve::StageGate{}});
+  // Without deadlines, so that requests reach the classifier after the
+  // detector round has booked the lanes.
+  auto unbounded = [&trace] {
+    std::vector<Request> w = trace();
+    for (Request& r : w) r.deadline_ms = -1.0;
+    return w;
+  };
+  const serve::CascadeSummary ca = server.run_cascade(spec, unbounded());
+  const serve::CascadeSummary cb = fleet.run_cascade(spec, unbounded());
+  EXPECT_GT(ca.gated_out, 0);
+  EXPECT_GT(ca.full_runs, 0);
+  ASSERT_EQ(ca.results.size(), cb.results.size());
+  for (std::size_t i = 0; i < ca.results.size(); ++i) {
+    const auto& x = ca.results[i];
+    const auto& y = cb.results[i];
+    ASSERT_EQ(x.status.code, y.status.code) << "request " << i;
+    EXPECT_EQ(x.gated_out, y.gated_out) << "request " << i;
+    EXPECT_EQ(x.queue_ms, y.queue_ms) << "request " << i;
+    EXPECT_EQ(x.latency_ms, y.latency_ms) << "request " << i;
+    ASSERT_EQ(x.stages.size(), y.stages.size()) << "request " << i;
+    for (std::size_t k = 0; k < x.stages.size(); ++k) {
+      EXPECT_EQ(x.stages[k].status.code, y.stages[k].status.code) << i;
+      EXPECT_EQ(x.stages[k].attempts, y.stages[k].attempts) << i;
+      EXPECT_EQ(x.stages[k].retries, y.stages[k].retries) << i;
+      EXPECT_EQ(x.stages[k].reused_planes, y.stages[k].reused_planes) << i;
+      EXPECT_EQ(x.stages[k].queue_ms, y.stages[k].queue_ms) << i;
+      EXPECT_EQ(x.stages[k].latency_ms, y.stages[k].latency_ms) << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

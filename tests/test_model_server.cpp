@@ -3,7 +3,7 @@
 // The suite proves the PR 6 robustness contract:
 //   - failure is a value: every request resolves to exactly one of
 //     Ok/Shed/DeadlineExceeded/Failed and poisoned requests cost their
-//     neighbors nothing;
+//     neighbors nothing — not even a queue slot;
 //   - admission control: overload bursts shed the NEWEST requests at the
 //     queue watermark, deadlines shed at dispatch BEFORE execution;
 //   - bounded retry-with-backoff under injected transient faults, giving
@@ -200,6 +200,42 @@ TEST_F(ModelServerTest, BadRequestsFailAsValuesNotExceptions) {
   EXPECT_EQ(summary.results[2].attempts, 0);
   EXPECT_TRUE(summary.results[0].status.ok());
   EXPECT_TRUE(summary.results[3].status.ok());
+}
+
+// A request no plan can serve fails BEFORE admission: it never holds a
+// queue slot, so the well-formed request queued behind it is not shed on
+// its account. One lane, a one-slot queue and three simultaneous arrivals
+// (good, 16x16, good): were the mis-shaped middle request admitted, it
+// would take the only slot and shed the third.
+TEST_F(ModelServerTest, MisShapedRequestHoldsNoQueueSlot) {
+  ServerConfig cfg;
+  cfg.lanes = 1;
+  cfg.queue_limit = 1;
+  ModelServer server(*engine_, cfg);
+  server.load_model("q", path_v1_);
+  auto trace = [] {
+    std::vector<Request> w = steady("q", 3, 1500, 0.0);
+    w[1].input = core::Blob{datasets::random_image(Shape{1, 16, 16, 3}, 8)};
+    return w;
+  };
+
+  const auto s = server.run(trace());
+  expect_nothing_lost(s);
+  EXPECT_EQ(s.results[0].status.code, StatusCode::kOk);
+  EXPECT_EQ(s.results[1].status.code, StatusCode::kFailed);
+  EXPECT_NE(s.results[1].status.error.find("serves"), std::string::npos);
+  EXPECT_EQ(s.results[2].status.code, StatusCode::kOk);
+  EXPECT_EQ(s.max_queue_depth, 1);
+
+  // A one-stage cascade walks the same admission path.
+  serve::CascadeSpec solo;
+  solo.name = "solo";
+  solo.stages.push_back(serve::CascadeStageSpec{"q", serve::StageGate{}});
+  const serve::CascadeSummary c = server.run_cascade(solo, trace());
+  EXPECT_EQ(c.results[0].status.code, StatusCode::kOk);
+  EXPECT_EQ(c.results[1].status.code, StatusCode::kFailed);
+  EXPECT_EQ(c.results[2].status.code, StatusCode::kOk);
+  EXPECT_EQ(c.shed, 0);
 }
 
 // ---------------------------------------------------------------------------
