@@ -554,14 +554,6 @@ int main(int argc, char** argv) {
                                // that kAuto may pick the bit-GEMM path)
     fast.conv_path = core::ConvPathPreference::kRowFused;
     bench_conv(spec, fast, "fast", records);
-    core::EngineOptions ckey;  // pack-width-key ablation: C_in keying
-    ckey.span_keyed_pack_width = false;
-    ckey.conv_path = core::ConvPathPreference::kRowFused;
-    bench_conv(spec, ckey, "fast-ckey", records);
-    core::EngineOptions taps;  // pre-tentpole inner loop, kept for ablation
-    taps.interior_split = false;
-    taps.conv_path = core::ConvPathPreference::kRowFused;
-    bench_conv(spec, taps, "taps", records);
     core::EngineOptions gemm;  // path D: im2col + register-tiled bit-GEMM
     gemm.conv_path = core::ConvPathPreference::kGemm;
     bench_conv(spec, gemm, "bitgemm", records);

@@ -236,19 +236,6 @@ PackWidth cap_pack_width_to_span(PackWidth w,
   return w;
 }
 
-PackWidth select_pack_width(std::int64_t channels) noexcept {
-  // Widest granularity whose span still fits the packed channel run of one
-  // pixel; below 64 channels narrow kernels avoid wasted lanes.
-  if (channels >= 1024) return PackWidth::k1024;
-  if (channels >= 512) return PackWidth::k512;
-  if (channels >= 256) return PackWidth::k256;
-  if (channels >= 128) return PackWidth::k128;
-  if (channels >= 64) return PackWidth::k64;
-  if (channels >= 32) return PackWidth::k32;
-  if (channels >= 16) return PackWidth::k16;
-  return PackWidth::k8;
-}
-
 std::int64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                           std::int64_t nwords, PackWidth w) {
   PB_CHECK(nwords >= 0, "negative word count");

@@ -3,7 +3,7 @@
 // The inner loops of every binary convolution/dense kernel reduce to
 // "xor two packed spans and popcount", executed at a chosen vectorization
 // granularity: the paper packs with OpenCL vector types from uchar (8-bit)
-// up to ulong16 (1024-bit) and selects the kernel by channel count (§V-A.2).
+// up to ulong16 (1024-bit) and selects the kernel per layer (§V-A.2).
 // The memory format is always 64-bit words; PackWidth selects how wide the
 // *processing* vectors are, which is what the granularity ablation measures.
 #pragma once
@@ -30,16 +30,13 @@ enum class PackWidth : int {
 constexpr int bits(PackWidth w) noexcept { return static_cast<int>(w); }
 
 /// The paper selects "the optimal bit packing strategy and computing kernel
-/// according to channel dimensions": the widest vector that does not
-/// overshoot one pixel's packed channel span.
-PackWidth select_pack_width(std::int64_t channels) noexcept;
-
-/// Granularity for a row-fused span of `span_words` 64-bit words: the width
-/// minimizing the per-row instruction count (full vectors + scalar tail
-/// words), ties to the wider vector. Unlike the channel rule this accounts
-/// for the tail — a 12-word span runs 3 exact ulong4 ops rather than one
-/// ulong8 op plus 4 scalar tail words (the bench_kernels `/fast-ckey`
-/// ablation keyed the decision).
+/// according to channel dimensions" (§V-A.2). The engine keys that choice
+/// on the packed span a kernel streams, `span_words` 64-bit words (a conv's
+/// filter row of kw*words words, a dense row, a GEMM panel row): the width
+/// minimizing the per-span instruction count (full vectors + scalar tail
+/// words), ties to the wider vector. The tail counts: a 12-word span runs
+/// 3 exact ulong4 ops rather than one ulong8 op plus 4 scalar tail words.
+/// Spans shorter than two words stay at 64 bits.
 PackWidth select_pack_width_for_span(std::int64_t span_words) noexcept;
 
 /// Caps `w` to the widest granularity whose lane count fits `span_words`

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -59,14 +58,6 @@ class ScratchArena {
 
   /// uint64 scratch of at least `n` words.
   std::uint64_t* words(std::int64_t n) { return ensure(words_, n); }
-
-  /// uint64 scratch of `n` words, cleared to zero (the packed all-(-1)
-  /// padding span). The memset is O(words_per_pixel), not an allocation.
-  std::uint64_t* zero_words(std::int64_t n) {
-    std::uint64_t* p = ensure(words_, n);
-    std::memset(p, 0, static_cast<std::size_t>(n) * sizeof(std::uint64_t));
-    return p;
-  }
 
   /// The activation slab of at least `bytes` bytes (8-byte aligned words):
   /// backs the compiled plan's activation slots. Unlike the scratch pools,

@@ -438,6 +438,36 @@ std::unique_ptr<Network> read_network(ByteReader& r, std::uint32_t version) {
   return net;
 }
 
+// --- fixed fields ----------------------------------------------------------
+
+// Bytes the format still carries for conv-schedule knobs the engine no
+// longer has: the interior/border split (always on), the output-x tile
+// width (always 8) and span-keyed pack widths (always on) in the options
+// record, and the split flag of each kernel variant (set on conv and
+// input-conv steps). Every file written with default options holds exactly
+// these values, so writers emit them unchanged and readers reject anything
+// else: a file that asked for the removed per-tap schedule must not run
+// silently under the one schedule left.
+constexpr std::uint8_t kFixedInteriorSplit = 1;
+constexpr std::int64_t kFixedConvTileOw = 8;
+constexpr std::uint8_t kFixedSpanKeyedPackWidth = 1;
+
+template <typename T>
+void read_fixed(ByteReader& r, T expected, const char* field) {
+  const T v = r.pod<T>();
+  if (v != expected) {
+    r.fail(std::string(field) + " records " + std::to_string(v) +
+           "; the engine runs one conv schedule and accepts only " +
+           std::to_string(expected));
+  }
+}
+
+/// Whether a step's variant carries the split flag set (see above).
+bool is_conv_step(const Layer* layer) {
+  return dynamic_cast<const core::BinaryConv2d*>(layer) != nullptr ||
+         dynamic_cast<const core::InputConv2d*>(layer) != nullptr;
+}
+
 // --- options section -------------------------------------------------------
 
 void write_options(ByteWriter& w, const EngineOptions& o,
@@ -447,12 +477,12 @@ void write_options(ByteWriter& w, const EngineOptions& o,
   w.pod<std::uint8_t>(o.integrate_packing ? 1 : 0);
   w.pod<std::uint8_t>(o.fuse_conv_pool ? 1 : 0);
   w.pod<std::int64_t>(o.packing_channel_threshold);
-  w.pod<std::uint8_t>(o.interior_split ? 1 : 0);
-  w.pod<std::int64_t>(o.conv_tile_ow);
+  w.pod<std::uint8_t>(kFixedInteriorSplit);
+  w.pod<std::int64_t>(kFixedConvTileOw);
   w.pod<std::uint8_t>(o.auto_pack_width ? 1 : 0);
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(
       bitpack::bits(o.fixed_pack_width)));
-  w.pod<std::uint8_t>(o.span_keyed_pack_width ? 1 : 0);
+  w.pod<std::uint8_t>(kFixedSpanKeyedPackWidth);
   w.pod<std::uint8_t>(o.vectorized_loads ? 1 : 0);
   w.pod<std::uint8_t>(o.layout == Layout::kNCHW ? 1 : 0);
   w.pod<std::uint8_t>(static_cast<std::uint8_t>(o.conv_path));
@@ -474,12 +504,11 @@ EngineOptions read_options(ByteReader& r, std::uint32_t version) {
   o.fuse_conv_pool = read_bool(r);
   o.packing_channel_threshold = r.pod<std::int64_t>();
   if (o.packing_channel_threshold < 0) r.fail("negative packing threshold");
-  o.interior_split = read_bool(r);
-  o.conv_tile_ow = r.pod<std::int64_t>();
-  if (o.conv_tile_ow < 0) r.fail("negative conv tile width");
+  read_fixed(r, kFixedInteriorSplit, "interior split");
+  read_fixed(r, kFixedConvTileOw, "conv tile width");
   o.auto_pack_width = read_bool(r);
   o.fixed_pack_width = read_pack_width(r);
-  o.span_keyed_pack_width = read_bool(r);
+  read_fixed(r, kFixedSpanKeyedPackWidth, "span-keyed pack width");
   o.vectorized_loads = read_bool(r);
   o.layout = read_bool(r) ? Layout::kNCHW : Layout::kNHWC;
   const auto conv_path = r.pod<std::uint8_t>();
@@ -499,11 +528,11 @@ EngineOptions read_options(ByteReader& r, std::uint32_t version) {
 
 // --- kernel variants / scratch ---------------------------------------------
 
-void write_variant(ByteWriter& w, const KernelVariant& v,
+void write_variant(ByteWriter& w, const KernelVariant& v, bool conv_step,
                    std::uint32_t version) {
   w.pod<std::uint8_t>(static_cast<std::uint8_t>(v.path));
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(bits(v.pack_width)));
-  w.pod<std::uint8_t>(v.interior_split ? 1 : 0);
+  w.pod<std::uint8_t>(conv_step ? 1 : 0);
   if (version >= 4) {
     w.pod<std::uint8_t>(v.reuse ? 1 : 0);
   } else {
@@ -513,7 +542,8 @@ void write_variant(ByteWriter& w, const KernelVariant& v,
   w.str(v.kernel);
 }
 
-KernelVariant read_variant(ByteReader& r, std::uint32_t version) {
+KernelVariant read_variant(ByteReader& r, bool conv_step,
+                           std::uint32_t version) {
   KernelVariant v;
   const auto path = r.pod<std::uint8_t>();
   if (path > static_cast<std::uint8_t>(KernelVariant::Path::kConvGemm)) {
@@ -521,7 +551,7 @@ KernelVariant read_variant(ByteReader& r, std::uint32_t version) {
   }
   v.path = static_cast<KernelVariant::Path>(path);
   v.pack_width = read_pack_width(r);
-  v.interior_split = read_bool(r);
+  read_fixed<std::uint8_t>(r, conv_step ? 1 : 0, "kernel variant split flag");
   if (version >= 4) v.reuse = read_bool(r);
   v.tile_ow = r.pod<std::int64_t>();
   if (v.tile_ow < 0) r.fail("negative kernel tile width");
@@ -597,7 +627,7 @@ class PlanCodec {
       write_blob_desc(w, step.in);
       write_blob_desc(w, step.out);
       write_blob_desc(w, step.fused_mid);
-      write_variant(w, step.variant, version);
+      write_variant(w, step.variant, is_conv_step(step.layer), version);
       write_scratch(w, step.scratch);
       if (version >= 4) {
         w.pod<std::int64_t>(step.wcomp.unique_rows);
@@ -663,7 +693,7 @@ class PlanCodec {
                " breaks the pipeline edge (expected " + expected_in.str() +
                ")");
       }
-      step.variant = read_variant(r, version);
+      step.variant = read_variant(r, is_conv_step(step.layer), version);
       // Conv-path kernels partition output columns by the tile: a resealed
       // zero would reach ceil_div(ow, 0). Non-conv layers (path kDefault)
       // legitimately record 0 ("does not tile") and never divide by it.

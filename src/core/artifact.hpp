@@ -6,7 +6,7 @@
 // (model_format.hpp) ships the *network*; this module ships the *compiled*
 // network — the layer graph with its BN-folded packed weights PLUS the
 // ExecutionPlan that Network::compile produced: per-step kernel selections
-// (conv path, pack width, interior split, tile, fusion rewrites), the
+// (conv path, pack width, tile, fusion rewrites), the
 // activation-slot table with its fixed slab offsets, and the exact
 // scratch/slab peaks. load() reconstructs an immutable Network +
 // ExecutionPlan with ZERO re-planning: no shape inference, no liveness
@@ -39,6 +39,11 @@
 // decoded bank, so loading never re-clusters). v3 files still load; save()
 // writes v3 whenever the plan was compiled with WeightCompress::kOff, so
 // default-configuration artifacts stay byte-identical across this change.
+//
+// Three options fields (interior split, conv tile width, span-keyed pack
+// width) and each kernel variant's split flag record conv-schedule knobs
+// the engine no longer has. They hold fixed values — the ones every file
+// written with default options carries — and any other value is rejected.
 //
 // Every load-time mismatch — bad magic/version/endianness, truncation,
 // checksum failure, invalid enum, violated structural invariant (weight

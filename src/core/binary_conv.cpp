@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <initializer_list>
+#include <string>
 
 #include "bitpack/binary_ops.hpp"
 #include "core/binarize.hpp"
@@ -86,24 +88,18 @@ void BinaryConv2d::plan(PlanContext& pc) const {
   const std::int64_t ow = geom_.out_w(in.shape.w);
   KernelVariant v = select_variant(in.shape, pc.opts());
   // Scratch liveness mirrors execute() exactly: the im2col panel for the
-  // bit-GEMM lowering, the legacy zeros span only without the interior
-  // split, the byte map for separate packing, and the materialized int32
-  // sums for the no-integration pipeline.
+  // bit-GEMM lowering, the byte map for separate packing, and the
+  // materialized int32 sums for the no-integration pipeline.
   const std::int64_t out_count = in.shape.n * oh * ow * out_channels();
   if (v.path == KernelVariant::Path::kConvGemm) {
     const std::int64_t words = ceil_div(in.shape.c, bitpack::kWordBits);
     pc.need_words(in.shape.n * oh * ow * geom_.kernel_h * geom_.kernel_w *
                   words);
-  } else {
-    if (!v.interior_split) {
-      pc.need_words(ceil_div(in.shape.c, bitpack::kWordBits));
-    }
-    if (v.path == KernelVariant::Path::kConvSeparatePack) {
-      pc.need_u8(out_count);
-    } else if (v.path == KernelVariant::Path::kConvUnfused) {
-      pc.need_i32(out_count);
-      pc.need_u8(out_count);
-    }
+  } else if (v.path == KernelVariant::Path::kConvSeparatePack) {
+    pc.need_u8(out_count);
+  } else if (v.path == KernelVariant::Path::kConvUnfused) {
+    pc.need_i32(out_count);
+    pc.need_u8(out_count);
   }
   pc.select(std::move(v));
   pc.produce(BlobDesc{BlobKind::kPacked,
@@ -140,6 +136,10 @@ PackedTensor BinaryConv2d::execute(ExecContext& ctx, const PackedTensor& in,
 }
 
 namespace {
+
+/// Output columns one window-streaming work item owns: amortizes per-item
+/// dispatch and keeps the filter row hot (DESIGN.md §4).
+constexpr std::int64_t kConvTileOw = 8;
 
 /// Shared geometry snapshot the kernel bodies capture by value, including
 /// the interior output box [x0,x1) x [y0,y1): the output rectangle whose
@@ -179,34 +179,10 @@ ConvDims make_dims(const PackedTensor& in, const PackedTensor& weights,
   return make_dims(in.shape(), weights.shape().n, g);
 }
 
-/// Pre-optimization inner loop, kept as the interior-split ablation arm:
-/// one short xor_popcount per kernel tap with a per-tap padding branch;
-/// out-of-bounds input pixels use the all-zero span (-1 padding).
-inline std::int64_t window_mismatches_taps(const PackedTensor& in,
-                                           const PackedTensor& weights,
-                                           const ConvDims& d, std::int64_t n,
-                                           std::int64_t oy, std::int64_t ox,
-                                           std::int64_t co,
-                                           const std::uint64_t* zeros,
-                                           bitpack::PackWidth pw) {
-  std::int64_t mism = 0;
-  for (std::int64_t kh = 0; kh < d.kh; ++kh) {
-    const std::int64_t iy = oy * d.sh - d.ph + kh;
-    for (std::int64_t kw = 0; kw < d.kw; ++kw) {
-      const std::int64_t ix = ox * d.sw - d.pw + kw;
-      const bool inside = iy >= 0 && iy < d.ih && ix >= 0 && ix < d.iw;
-      const std::uint64_t* span = inside ? in.pixel(n, iy, ix) : zeros;
-      mism += bitpack::xor_popcount(span, weights.pixel(co, kh, kw), d.words,
-                                    pw);
-    }
-  }
-  return mism;
-}
-
 /// Fast path for windows fully inside the input: the kw taps of one filter
 /// row are contiguous in both operands (NHWC packing), so the whole window
 /// is one strided xor+popcount — kh input rows (pitch iw*words) against the
-/// contiguous filter (pitch kw*words). No bounds test, no zeros span.
+/// contiguous filter (pitch kw*words). No bounds test.
 inline std::int64_t window_mismatches_interior(const PackedTensor& in,
                                                const PackedTensor& weights,
                                                const ConvDims& d,
@@ -253,19 +229,14 @@ inline std::int64_t window_mismatches_border(const PackedTensor& in,
   return mism;
 }
 
-/// Window accumulator honoring the interior-split option. `y_interior` is
-/// the hoisted per-row bounds test so the inner x loop pays one compare.
+/// One filter's window. `y_interior` is the hoisted per-row bounds test so
+/// the inner x loop pays one compare.
 inline std::int64_t window_mismatches(const PackedTensor& in,
                                       const PackedTensor& weights,
                                       const ConvDims& d, std::int64_t n,
                                       std::int64_t oy, std::int64_t ox,
-                                      std::int64_t co,
-                                      const std::uint64_t* zeros,
-                                      bitpack::PackWidth pw, bool split,
+                                      std::int64_t co, bitpack::PackWidth pw,
                                       bool y_interior) {
-  if (!split) {
-    return window_mismatches_taps(in, weights, d, n, oy, ox, co, zeros, pw);
-  }
   if (y_interior && ox >= d.x0 && ox < d.x1) {
     return window_mismatches_interior(in, weights, d, n, oy * d.sh - d.ph,
                                       ox * d.sw - d.pw, co, pw);
@@ -277,16 +248,15 @@ inline std::int64_t window_mismatches(const PackedTensor& in,
 /// scored at once. Interior windows run the SHARED-WINDOW schedule — each
 /// input span is loaded once and re-used across the 8 contiguous filters of
 /// the group (xor_popcount_2d_x8) instead of 8 independent window passes
-/// re-reading the same spans. Border/per-tap windows keep the per-filter
-/// routines (the border fraction is small and pad-clamped spans differ per
-/// row anyway).
+/// re-reading the same spans. Border windows keep the per-filter routine
+/// (the border fraction is small and pad-clamped spans differ per row
+/// anyway).
 inline void group_mismatches(const PackedTensor& in,
                              const PackedTensor& weights, const ConvDims& d,
                              std::int64_t n, std::int64_t oy, std::int64_t ox,
-                             std::int64_t g, const std::uint64_t* zeros,
-                             bitpack::PackWidth pw, bool split,
+                             std::int64_t g, bitpack::PackWidth pw,
                              bool y_interior, std::int64_t mism[8]) {
-  if (split && y_interior && ox >= d.x0 && ox < d.x1) {
+  if (y_interior && ox >= d.x0 && ox < d.x1) {
     bitpack::xor_popcount_2d_x8(
         in.pixel(n, oy * d.sh - d.ph, ox * d.sw - d.pw), d.iw * d.words,
         weights.pixel(g * 8, 0, 0), d.kh * d.kw * d.words, d.kw * d.words,
@@ -294,8 +264,8 @@ inline void group_mismatches(const PackedTensor& in,
     return;
   }
   for (int f = 0; f < 8; ++f) {
-    mism[f] = window_mismatches(in, weights, d, n, oy, ox, g * 8 + f, zeros,
-                                pw, split, y_interior);
+    mism[f] = window_mismatches_border(in, weights, d, n, oy, ox, g * 8 + f,
+                                       pw);
   }
 }
 
@@ -312,18 +282,13 @@ inline void group_mismatches_dedup(const PackedTensor& in,
                                    std::int64_t g, const std::uint8_t* lanes,
                                    bitpack::PackWidth pw, bool y_interior,
                                    std::int64_t mism[8]) {
-  const bool interior = y_interior && ox >= d.x0 && ox < d.x1;
   for (int f = 0; f < 8; ++f) {
     if (lanes[f] != f) {
       mism[f] = mism[lanes[f]];
       continue;
     }
-    mism[f] = interior
-                  ? window_mismatches_interior(in, weights, d, n,
-                                               oy * d.sh - d.ph,
-                                               ox * d.sw - d.pw, g * 8 + f, pw)
-                  : window_mismatches_border(in, weights, d, n, oy, ox,
-                                             g * 8 + f, pw);
+    mism[f] = window_mismatches(in, weights, d, n, oy, ox, g * 8 + f, pw,
+                                y_interior);
   }
 }
 
@@ -344,65 +309,31 @@ inline std::uint8_t group_byte(const std::int64_t mism[8], std::int64_t g,
   return byte;
 }
 
-/// Bit-lanes charged per conv window at granularity `pw`. The row-fused
-/// path streams kh spans of kw*words words with a scalar tail — no lane is
-/// ever wasted (span-keyed selection never overshoots the span), so it is
-/// charged the exact word bits. The per-tap path pads each of the kh*kw
-/// taps to the vector width (narrow layers waste the tail lanes).
-inline double window_bitops(const ConvDims& d, bitpack::PackWidth pw,
-                            bool split) {
-  if (split) {
-    const std::int64_t row_bits = d.kw * d.words * bitpack::kWordBits;
-    return 2.0 * static_cast<double>(d.kh) * static_cast<double>(row_bits);
-  }
-  const std::int64_t pwbits = bitpack::bits(pw);
-  const std::int64_t tap_bits = ceil_div(d.c_in, pwbits) * pwbits;
-  return 2.0 * static_cast<double>(d.kh * d.kw) *
-         static_cast<double>(tap_bits);
-}
+// --- kernel costs ----------------------------------------------------------
+//
+// Each conv kernel's work tally (see costs.hpp) is built by ONE function
+// below, from geometry and options alone (plan time has no tensors yet).
+// select_variant prices a path by summing its kernels' modeled time on the
+// reference profile; the forward that runs the path enqueues the very same
+// tallies — so the roofline comparison and the recorded modeled times
+// cannot disagree.
 
-/// Work tally of the window-accumulation portion shared by every conv path
-/// (see costs.hpp). Row fusion shows up as fewer scalar bookkeeping ops and
-/// kh instead of kh*kw span setups per window; border windows pay up to one
-/// extra pad-popcount span per filter row. `shared_window` (path A only —
-/// its work item owns the whole 8-filter group) amortizes each interior
-/// input-span setup over the group's 8 filters.
-void charge_windows(KernelCost& cost, const ConvDims& d,
-                    const EngineOptions& opts, bool split,
-                    bool shared_window) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const double interior =
-      split ? static_cast<double>(d.n) * (d.y1 - d.y0) * (d.x1 - d.x0) *
-                  d.c_out
-            : 0.0;
-  const double border = outputs - interior;
-  const double kh = static_cast<double>(d.kh);
-  const double taps = static_cast<double>(d.kh * d.kw);
-  cost.span_setup_cycles = costs::kSpanSetupCycles;
-  if (split) {
-    cost.scalar_ops = interior * 1.0 + border * kh;
-    const double interior_spans =
-        shared_window ? costs::shared_window_spans(kh) : kh;
-    cost.span_count = interior * interior_spans + border * 2.0 * kh;
-    cost.instr_overhead_cycles = costs::instr_overhead_fused(opts);
-  } else {
-    cost.scalar_ops = outputs * taps;
-    cost.span_count = outputs * taps;
-    cost.instr_overhead_cycles = costs::instr_overhead(opts);
-  }
-}
-
-/// Modeled time on the fixed reference profile used for ahead-of-time path
-/// selection. A pure function of the cost tally — never of the session's
-/// device — so plan replay (artifact decode) reselects identically.
-double reference_gpu_ms(const KernelCost& cost) {
+/// Modeled time of a path's kernels on the fixed reference profile used for
+/// ahead-of-time path selection. A pure function of the cost tallies —
+/// never of the session's device — so plan replay (artifact decode)
+/// reselects identically.
+double reference_ms(std::initializer_list<KernelCost> kernels) {
   static const oclsim::DeviceProfile ref =
       oclsim::DeviceProfile::snapdragon855();
-  return oclsim::modeled_ms(cost, ref, oclsim::ExecUnit::kGpu);
+  double ms = 0.0;
+  for (const KernelCost& k : kernels) {
+    ms += oclsim::modeled_ms(k, ref, oclsim::ExecUnit::kGpu);
+  }
+  return ms;
 }
 
-/// Packed activation/filter byte sizes from geometry alone (plan time has
-/// no tensors yet). Mirrors PackedTensor::bytes() for the NHWC layout.
+/// Packed activation/filter byte sizes from geometry alone. Mirrors
+/// PackedTensor::bytes() for the NHWC layout.
 double packed_in_bytes(const ConvDims& d) {
   return static_cast<double>(d.n * d.ih * d.iw * d.words) * 8.0;
 }
@@ -414,166 +345,227 @@ double packed_out_bytes(const ConvDims& d) {
                              ceil_div(d.c_out, bitpack::kWordBits)) *
          8.0;
 }
-
-/// Selection-side estimate of the window-streaming schedule (path A when
-/// `path_a`, else path B's conv + pack pair). Charges exactly what
-/// forward_fused() charges at dispatch time, so the roofline comparison and
-/// the recorded modeled times cannot disagree.
-double modeled_window_ms(const ConvDims& d, const EngineOptions& opts,
-                         bool path_a) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const auto pw = opts.conv_pack_width(d.c_in, d.kw);
-  const bool split = opts.interior_split;
-  KernelCost cost;
-  cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(cost, d, opts, split, /*shared_window=*/path_a);
-  cost.scalar_ops += outputs * 4.0;
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = packed_in_bytes(d) + packed_weight_bytes(d) +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.coalescing = costs::coalescing(opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(opts);
-  if (path_a) {
-    cost.bytes_written = packed_out_bytes(d);
-    return reference_gpu_ms(cost);
-  }
-  cost.bytes_written = outputs;  // the 0/1 byte map
-  KernelCost pack;
-  pack.scalar_ops = outputs;
-  pack.bytes_read = outputs;
-  pack.bytes_written = packed_out_bytes(d);
-  pack.coalescing = costs::coalescing(opts);
-  pack.alu_efficiency = costs::kAuxKernelEff;
-  return reference_gpu_ms(cost) + reference_gpu_ms(pack);
+double conv_outputs(const ConvDims& d) {
+  return static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
 }
 
-/// Selection-side estimate of the bit-GEMM lowering: the im2col panel build
-/// plus the register-tiled GEMM (mirrors forward_gemm()'s tallies). The
-/// panel traffic and the second launch are what small geometries lose on;
-/// large ones win it back through the tile-amortized span setup, the lower
-/// per-op overhead and the pack width keyed on the full K span.
-double modeled_gemm_ms(const ConvDims& d, const EngineOptions& opts) {
-  const std::int64_t k_words = d.kh * d.kw * d.words;
-  const std::int64_t m = d.n * d.oh * d.ow;
-  const double outputs = static_cast<double>(m) * d.c_out;
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
-
-  KernelCost col;
-  col.scalar_ops = static_cast<double>(m * k_words);
-  col.bytes_read = panel_bytes;
-  col.bytes_written = panel_bytes;
-  col.coalescing = costs::coalescing(opts);
-  col.alu_efficiency = costs::kAuxKernelEff;
-
-  const auto pw = opts.pack_width_for_span(d.c_in, k_words);
-  const double tiles = static_cast<double>(ceil_div(m, bitpack::kGemmMr)) *
-                       static_cast<double>(d.c_out / 8);
-  KernelCost gemm;
-  gemm.bitop_bits =
-      outputs * 2.0 * static_cast<double>(k_words) * bitpack::kWordBits;
-  gemm.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, k_words));
-  gemm.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
-  gemm.span_count = tiles;
-  gemm.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm.scalar_ops = outputs * 4.0;  // threshold compare + byte/bit insert
-  gemm.bytes_read = panel_bytes + packed_weight_bytes(d) +
-                    static_cast<double>(d.c_out) * 5.0;
-  gemm.bytes_written = packed_out_bytes(d);
-  gemm.coalescing = costs::coalescing(opts);
-  gemm.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(col) + reference_gpu_ms(gemm);
-}
-
-/// Window-accumulation tally of the dedup'd path-A schedule (DESIGN.md
-/// §12): every group computes one window per DISTINCT lane and copies exact
-/// duplicates, so span setups, border row walks and bit-ops all scale by
-/// the bank's distinct-lane fraction. Interior bookkeeping stays one op per
-/// output (the copy is as cheap as the accumulate it replaces).
-void charge_windows_dedup(KernelCost& cost, const ConvDims& d,
-                          const EngineOptions& opts, double distinct_frac) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
+/// Window tally shared by the window-streaming kernels (paths A, B, C, the
+/// dedup'd path A and the fused conv→pool step): kh spans of kw*words words
+/// per window with a scalar tail, so the exact word bits are charged —
+/// span-keyed selection never overshoots the span. Row fusion shows up as
+/// one bookkeeping op per interior window and `interior_spans` span setups
+/// per interior output; border windows walk their kh filter rows and pay up
+/// to one extra pad-popcount span per row. `distinct_frac` < 1 is the
+/// dedup'd schedule (DESIGN.md §12): only distinct lanes compute windows and
+/// read filters, duplicates copy for free. Reads the packed input and
+/// filters; the caller adds its epilogue and writes.
+KernelCost window_cost(const ConvDims& d, const EngineOptions& opts,
+                       bitpack::PackWidth pw, double interior_spans,
+                       double distinct_frac) {
+  const double outputs = conv_outputs(d);
   const double interior =
       static_cast<double>(d.n) * (d.y1 - d.y0) * (d.x1 - d.x0) * d.c_out;
   const double border = outputs - interior;
   const double kh = static_cast<double>(d.kh);
+  const std::int64_t row_bits = d.kw * d.words * bitpack::kWordBits;
+  KernelCost cost;
+  cost.bitop_bits =
+      outputs * (2.0 * kh * static_cast<double>(row_bits)) * distinct_frac;
   cost.span_setup_cycles = costs::kSpanSetupCycles;
   cost.scalar_ops = interior * 1.0 + border * kh * distinct_frac;
-  cost.span_count = interior * costs::dedup_window_spans(kh, distinct_frac) +
-                    border * 2.0 * kh * distinct_frac;
+  cost.span_count =
+      interior * interior_spans + border * 2.0 * kh * distinct_frac;
   cost.instr_overhead_cycles = costs::instr_overhead_fused(opts);
+  cost.pack_width_bits =
+      bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
+  cost.bytes_read =
+      packed_in_bytes(d) + packed_weight_bytes(d) * distinct_frac;
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::binary_kernel_eff(opts);
+  return cost;
 }
 
-/// Selection-side estimate of the dedup'd path-A schedule. Mirrors
-/// forward_fused_dedup()'s tallies exactly (same expressions), so the
-/// roofline comparison and the recorded modeled times cannot disagree.
-/// Only meaningful with the interior split on (the reuse gate requires it).
-double modeled_window_dedup_ms(const ConvDims& d, const EngineOptions& opts,
-                               const bitpack::CompressedFilterBank& bank) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
+/// Window tally plus the folded-BN threshold epilogue of paths A and B:
+/// threshold compare + byte/bit insert per output, the per-channel
+/// thresholds read, the packed map written.
+KernelCost thresholded_window_cost(const ConvDims& d,
+                                   const EngineOptions& opts,
+                                   bitpack::PackWidth pw,
+                                   double interior_spans,
+                                   double distinct_frac) {
+  KernelCost cost =
+      window_cost(d, opts, pw, interior_spans, distinct_frac);
+  cost.scalar_ops += conv_outputs(d) * 4.0;
+  cost.bytes_read += static_cast<double>(d.c_out) * 5.0;
+  cost.bytes_written = packed_out_bytes(d);
+  return cost;
+}
+
+/// Path A: the fully fused kernel. Its work item owns the whole 8-filter
+/// group, so each interior input-span setup amortizes over the group's 8
+/// filters (the shared-window schedule).
+KernelCost fused_cost(const ConvDims& d, const EngineOptions& opts,
+                      bitpack::PackWidth pw) {
+  return thresholded_window_cost(
+      d, opts, pw, costs::shared_window_spans(static_cast<double>(d.kh)),
+      1.0);
+}
+
+/// Path A with the duplicate-lane table: work and filter traffic scale by
+/// the bank's distinct-lane fraction.
+KernelCost fused_dedup_cost(const ConvDims& d, const EngineOptions& opts,
+                            bitpack::PackWidth pw,
+                            const bitpack::CompressedFilterBank& bank) {
   const double distinct_frac =
       static_cast<double>(bank.distinct_group_lanes()) /
       static_cast<double>(d.c_out);
-  const auto pw = opts.conv_pack_width(d.c_in, d.kw);
+  return thresholded_window_cost(
+      d, opts, pw,
+      costs::dedup_window_spans(static_cast<double>(d.kh), distinct_frac),
+      distinct_frac);
+}
+
+/// Path B's conv: fused math emitting the 0/1 byte map, one filter per
+/// work item.
+KernelCost nopack_cost(const ConvDims& d, const EngineOptions& opts,
+                       bitpack::PackWidth pw) {
+  KernelCost cost = thresholded_window_cost(
+      d, opts, pw, static_cast<double>(d.kh), 1.0);
+  cost.bytes_written = conv_outputs(d);
+  return cost;
+}
+
+/// Path C's conv: raw int32 sums out, no epilogue.
+KernelCost raw_cost(const ConvDims& d, const EngineOptions& opts,
+                    bitpack::PackWidth pw) {
+  KernelCost cost =
+      window_cost(d, opts, pw, static_cast<double>(d.kh), 1.0);
+  cost.bytes_written = conv_outputs(d) * 4.0;
+  return cost;
+}
+
+/// Path C's full floating-point batch-norm + sign over the int32 sums.
+KernelCost bn_binarize_cost(const ConvDims& d, const EngineOptions& opts) {
+  const double outputs = conv_outputs(d);
   KernelCost cost;
-  cost.bitop_bits =
-      outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
-  charge_windows_dedup(cost, d, opts, distinct_frac);
-  cost.scalar_ops += outputs * 4.0;
+  cost.scalar_ops = outputs * 6.0;  // add, sub, div, mul, add, compare
+  cost.bytes_read = outputs * 4.0 + static_cast<double>(d.c_out) * 20.0;
+  cost.bytes_written = outputs;
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kAuxKernelEff;
+  return cost;
+}
+
+/// The packing kernel of paths B and C: 0/1 byte map in, packed map out.
+KernelCost pack_cost(const ConvDims& d, const EngineOptions& opts) {
+  const double outputs = conv_outputs(d);
+  KernelCost cost;
+  cost.scalar_ops = outputs;
+  cost.bytes_read = outputs;
+  cost.bytes_written = packed_out_bytes(d);
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kAuxKernelEff;
+  return cost;
+}
+
+/// Path D's K = kh*kw*words words per im2col panel row.
+std::int64_t gemm_k_words(const ConvDims& d) { return d.kh * d.kw * d.words; }
+double panel_bytes(const ConvDims& d) {
+  return static_cast<double>(d.n * d.oh * d.ow * gemm_k_words(d)) * 8.0;
+}
+
+/// Path D's im2col kernel: copies (or zero-fills) every panel word once.
+KernelCost im2col_cost(const ConvDims& d, const EngineOptions& opts) {
+  KernelCost cost;
+  cost.scalar_ops = static_cast<double>(d.n * d.oh * d.ow * gemm_k_words(d));
+  cost.bytes_read = panel_bytes(d);
+  cost.bytes_written = panel_bytes(d);
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kAuxKernelEff;
+  return cost;
+}
+
+/// Fields shared by the plain and reuse GEMM tallies: the pack width keyed
+/// on the full K span, the tile setup and the folded-BN byte epilogue.
+KernelCost gemm_common_cost(const ConvDims& d, const EngineOptions& opts,
+                            bitpack::PackWidth pw) {
+  KernelCost cost;
   cost.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
-  cost.bytes_read = packed_in_bytes(d) +
-                    packed_weight_bytes(d) * distinct_frac +
-                    static_cast<double>(d.c_out) * 5.0;
+      bitpack::bits(bitpack::cap_pack_width_to_span(pw, gemm_k_words(d)));
+  cost.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
+  cost.span_setup_cycles = costs::kGemmTileSetupCycles;
   cost.bytes_written = packed_out_bytes(d);
   cost.coalescing = costs::coalescing(opts);
   cost.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(cost);
+  return cost;
 }
 
-/// Selection-side estimate of the partial-popcount reuse GEMM: the same
-/// im2col panel, then stage 1 scores each unique dictionary row once per
-/// register tile and stage 2 patches referencing filters at
-/// kReuseDeltaWordOps per delta word. Mirrors forward_gemm()'s reuse branch
-/// exactly.
-double modeled_gemm_reuse_ms(const ConvDims& d, const EngineOptions& opts,
-                             const bitpack::CompressedFilterBank& bank) {
-  const std::int64_t k_words = d.kh * d.kw * d.words;
+/// Path D's register-tiled GEMM: the panel traffic and the second launch
+/// are what small geometries lose on; large ones win it back through the
+/// tile-amortized span setup, the lower per-op overhead and the pack width
+/// keyed on the full K span.
+KernelCost gemm_cost(const ConvDims& d, const EngineOptions& opts,
+                     bitpack::PackWidth pw) {
   const std::int64_t m = d.n * d.oh * d.ow;
   const double outputs = static_cast<double>(m) * d.c_out;
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
+  KernelCost cost = gemm_common_cost(d, opts, pw);
+  cost.bitop_bits = outputs * 2.0 * static_cast<double>(gemm_k_words(d)) *
+                    bitpack::kWordBits;
+  cost.span_count = static_cast<double>(ceil_div(m, bitpack::kGemmMr)) *
+                    static_cast<double>(d.c_out / 8);
+  cost.scalar_ops = outputs * 4.0;  // threshold compare + byte insert
+  cost.bytes_read = panel_bytes(d) + packed_weight_bytes(d) +
+                    static_cast<double>(d.c_out) * 5.0;
+  return cost;
+}
 
-  KernelCost col;
-  col.scalar_ops = static_cast<double>(m * k_words);
-  col.bytes_read = panel_bytes;
-  col.bytes_written = panel_bytes;
-  col.coalescing = costs::coalescing(opts);
-  col.alu_efficiency = costs::kAuxKernelEff;
-
-  const auto pw = opts.pack_width_for_span(d.c_in, k_words);
-  const double m_tiles = static_cast<double>(ceil_div(m, bitpack::kGemmMr));
+/// Path D's partial-popcount reuse GEMM (DESIGN.md §12): stage 1 scores
+/// each unique dictionary row once per register tile, stage 2 patches
+/// referencing filters at kReuseDeltaWordOps per delta word.
+KernelCost gemm_reuse_cost(const ConvDims& d, const EngineOptions& opts,
+                           bitpack::PackWidth pw,
+                           const bitpack::CompressedFilterBank& bank) {
+  const std::int64_t m = d.n * d.oh * d.ow;
+  const double outputs = static_cast<double>(m) * d.c_out;
   const double unique = static_cast<double>(bank.unique_rows());
-  const double delta_words = static_cast<double>(bank.stats().delta_words);
-  KernelCost gemm;
-  gemm.bitop_bits = costs::reuse_gemm_bitop_bits(
-      static_cast<double>(m), unique, static_cast<double>(k_words),
-      delta_words);
-  gemm.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, k_words));
-  gemm.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
+  KernelCost cost = gemm_common_cost(d, opts, pw);
+  cost.bitop_bits = costs::reuse_gemm_bitop_bits(
+      static_cast<double>(m), unique,
+      static_cast<double>(gemm_k_words(d)),
+      static_cast<double>(bank.stats().delta_words));
   // One stage-1 span per unique row plus one stage-2 patch/epilogue pass
   // per filter group, per tile.
-  gemm.span_count = m_tiles * (unique + static_cast<double>(d.c_out / 8));
-  gemm.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm.scalar_ops = outputs * 5.0;  // cached-partial fetch + threshold/byte
-  gemm.bytes_read = panel_bytes +
+  cost.span_count = static_cast<double>(ceil_div(m, bitpack::kGemmMr)) *
+                    (unique + static_cast<double>(d.c_out / 8));
+  cost.scalar_ops = outputs * 5.0;  // cached-partial fetch + threshold/byte
+  cost.bytes_read = panel_bytes(d) +
                     static_cast<double>(bank.stats().encoded_bytes) +
                     static_cast<double>(d.c_out) * 5.0;
-  gemm.bytes_written = packed_out_bytes(d);
-  gemm.coalescing = costs::coalescing(opts);
-  gemm.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(col) + reference_gpu_ms(gemm);
+  return cost;
+}
+
+/// Packing pass of paths B and C: one work item per output word gathers
+/// the 0/1 byte map into packed bits.
+void enqueue_pack(ExecContext& ctx, const std::string& layer,
+                  const ConvDims& d, const std::uint8_t* bits,
+                  PackedTensor& out) {
+  const std::int64_t owords = out.words_per_pixel();
+  ctx.queue.enqueue(
+      layer + ".pack", NDRange{d.ow, d.oh, d.n * owords},
+      pack_cost(d, ctx.opts), [&, d, owords, bits](const WorkItem& it) {
+        const std::int64_t n = it.z / owords;
+        const std::int64_t j = it.z % owords;
+        std::uint64_t word = 0;
+        const std::int64_t base =
+            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
+        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
+        for (std::int64_t b = 0; b < limit; ++b) {
+          if (bits[static_cast<std::size_t>(base + b)] != 0) {
+            word |= (std::uint64_t{1} << b);
+          }
+        }
+        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
+      });
 }
 
 }  // namespace
@@ -581,10 +573,8 @@ double modeled_gemm_reuse_ms(const ConvDims& d, const EngineOptions& opts,
 KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
                                            const EngineOptions& opts) const {
   KernelVariant v;
-  v.interior_split = opts.interior_split;
   v.pack_width = opts.conv_pack_width(in_shape.c, geom_.kernel_w);
-  const std::int64_t ow = geom_.out_w(in_shape.w);
-  v.tile_ow = opts.conv_tile_ow <= 0 ? ow : std::min(opts.conv_tile_ow, ow);
+  v.tile_ow = std::min(kConvTileOw, geom_.out_w(in_shape.w));
   // Path D (DESIGN.md §11) needs the fused folded-BN epilogue and whole
   // filter groups; where legal, kAuto takes it only when the roofline model
   // says the lowering wins this geometry on the reference profile. Both the
@@ -594,19 +584,20 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
                           out_channels() % 8 == 0;
   if (gemm_legal && opts.conv_path != ConvPathPreference::kRowFused) {
     const ConvDims d = make_dims(in_shape, out_channels(), geom_);
-    const bool take_gemm =
-        opts.conv_path == ConvPathPreference::kGemm ||
-        modeled_gemm_ms(d, opts) <
-            modeled_window_ms(
-                d, opts,
-                /*path_a=*/in_channels() <= opts.packing_channel_threshold);
-    if (take_gemm) {
+    // The GEMM inner loop streams the full K = kh*kw*words panel row, so
+    // its granularity is keyed on that span, not the row-fused kw*words.
+    const auto gemm_pw = opts.pack_width_for_span(gemm_k_words(d));
+    const double gemm_ms =
+        reference_ms({im2col_cost(d, opts), gemm_cost(d, opts, gemm_pw)});
+    const double window_ms =
+        in_channels() <= opts.packing_channel_threshold
+            ? reference_ms({fused_cost(d, opts, v.pack_width)})
+            : reference_ms({nopack_cost(d, opts, v.pack_width),
+                            pack_cost(d, opts)});
+    if (opts.conv_path == ConvPathPreference::kGemm || gemm_ms < window_ms) {
       v.path = KernelVariant::Path::kConvGemm;
       v.kernel = "im2col+bitgemm";
-      // The GEMM inner loop streams the full K = kh*kw*words panel row, so
-      // its granularity is keyed on that span, not the row-fused kw*words.
-      v.pack_width =
-          opts.pack_width_for_span(in_shape.c, d.kh * d.kw * d.words);
+      v.pack_width = gemm_pw;
       v.tile_ow = bitpack::kGemmMr;  // M rows per register tile
       // Partial-popcount reuse (DESIGN.md §12): legal when the stage-1
       // partials fit the fixed per-work-item buffer; taken when the bank's
@@ -617,7 +608,9 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
         const bitpack::CompressedFilterBank& bank = compressed_bank();
         if (bank.unique_rows() <= bitpack::kReuseMaxDict &&
             bank.unique_rows() < out_channels() &&
-            modeled_gemm_reuse_ms(d, opts, bank) < modeled_gemm_ms(d, opts)) {
+            reference_ms({im2col_cost(d, opts),
+                          gemm_reuse_cost(d, opts, gemm_pw, bank)}) <
+                gemm_ms) {
           v.reuse = true;
           v.kernel = "im2col+bitgemm_reuse";
         }
@@ -637,12 +630,12 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
     // only exact within-group duplicates are legal here (delta patches
     // would change the window math), so the gate is the bank's distinct
     // lane count plus the roofline comparison.
-    if (opts.weight_compress == WeightCompress::kAuto && opts.interior_split) {
+    if (opts.weight_compress == WeightCompress::kAuto) {
       const bitpack::CompressedFilterBank& bank = compressed_bank();
       if (bank.distinct_group_lanes() < out_channels()) {
         const ConvDims d = make_dims(in_shape, out_channels(), geom_);
-        if (modeled_window_dedup_ms(d, opts, bank) <
-            modeled_window_ms(d, opts, /*path_a=*/true)) {
+        if (reference_ms({fused_dedup_cost(d, opts, v.pack_width, bank)}) <
+            reference_ms({fused_cost(d, opts, v.pack_width)})) {
           v.reuse = true;
           v.kernel = "bconv_fused_dedup";
         }
@@ -661,9 +654,6 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
                                          bool integrate_packing) const {
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
   const auto pw = v.pack_width;
   const bool branch_free = ctx.opts.branch_free_binarize;
   const std::int64_t len = d.kh * d.kw * d.c_in;
@@ -671,33 +661,16 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   const std::int64_t tiles_x = ceil_div(d.ow, tile);
   const FoldedBatchNorm& fb = folded_;
 
-  // Work tally (see costs.hpp): xor + popcount bit-lanes per window span,
-  // padded to the processing vector width (narrow layers waste the tail
-  // lanes of one vector, not a whole 64-bit word), plus window accumulation,
-  // span setups and the threshold test per output value.
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(cost, d, ctx.opts, split, /*shared_window=*/integrate_packing);
-  cost.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes()) +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
   if (integrate_packing) {
     // Path A — Fig. 4: one work item owns a tile of output columns for the
     // 8 filters of its group and stores one byte per column; interior
     // windows run the shared-window schedule (group_mismatches).
     const std::int64_t groups = d.c_out / 8;
-    cost.bytes_written = static_cast<double>(out.bytes());
     auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
     ctx.queue.enqueue(
-        name_ + ".bconv_fused", NDRange{tiles_x, d.oh, d.n * groups}, cost,
-        [&, d, pw, branch_free, len, groups, split, tile,
-         zeros](const WorkItem& it) {
+        name_ + ".bconv_fused", NDRange{tiles_x, d.oh, d.n * groups},
+        fused_cost(d, ctx.opts, pw),
+        [&, d, pw, branch_free, len, groups, tile](const WorkItem& it) {
           const std::int64_t n = it.z / groups;
           const std::int64_t g = it.z % groups;
           const bool y_in = it.y >= d.y0 && it.y < d.y1;
@@ -705,8 +678,7 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
               std::min(d.ow, (it.x + 1) * tile);
           for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
             std::int64_t mism[8];
-            group_mismatches(in, weights_, d, n, it.y, ox, g, zeros, pw,
-                             split, y_in, mism);
+            group_mismatches(in, weights_, d, n, it.y, ox, g, pw, y_in, mism);
             out_bytes[out.word_offset(n, it.y, ox, 0) * 8 + g] =
                 group_byte(mism, g, len, fb, branch_free);
           }
@@ -716,22 +688,18 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
 
   // Path B — fused math, separate packing kernel (wide layers, §VI-B).
   // The 0/1 byte map lives in the engine arena, not a per-forward vector.
-  const std::int64_t bit_count = d.n * d.oh * d.ow * d.c_out;
-  std::uint8_t* bits = ctx.arena.u8(bit_count);
-  KernelCost conv_cost = cost;
-  conv_cost.bytes_written = static_cast<double>(bit_count);
+  std::uint8_t* bits = ctx.arena.u8(d.n * d.oh * d.ow * d.c_out);
   ctx.queue.enqueue(
       name_ + ".bconv_nopack", NDRange{tiles_x, d.oh, d.n * d.c_out},
-      conv_cost,
-      [&, d, pw, branch_free, len, split, tile, zeros,
-       bits](const WorkItem& it) {
+      nopack_cost(d, ctx.opts, pw),
+      [&, d, pw, branch_free, len, tile, bits](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
         const std::int64_t co = it.z % d.c_out;
         const bool y_in = it.y >= d.y0 && it.y < d.y1;
         const std::int64_t x_end = std::min(d.ow, (it.x + 1) * tile);
         for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-          const std::int64_t mism = window_mismatches(
-              in, weights_, d, n, it.y, ox, co, zeros, pw, split, y_in);
+          const std::int64_t mism =
+              window_mismatches(in, weights_, d, n, it.y, ox, co, pw, y_in);
           const float x1 = static_cast<float>(len - 2 * mism);
           const std::size_t ci = static_cast<std::size_t>(co);
           const bool bit =
@@ -741,31 +709,7 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
               ((n * d.oh + it.y) * d.ow + ox) * d.c_out + co)] = bit ? 1 : 0;
         }
       });
-
-  // Packing pass: one work item per output word.
-  const std::int64_t owords = out.words_per_pixel();
-  KernelCost pack_cost;
-  pack_cost.scalar_ops = static_cast<double>(bit_count);
-  pack_cost.bytes_read = static_cast<double>(bit_count);
-  pack_cost.bytes_written = static_cast<double>(out.bytes());
-  pack_cost.coalescing = costs::coalescing(ctx.opts);
-  pack_cost.alu_efficiency = costs::kAuxKernelEff;
-  ctx.queue.enqueue(
-      name_ + ".pack", NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
-      [&, d, owords, bits](const WorkItem& it) {
-        const std::int64_t n = it.z / owords;
-        const std::int64_t j = it.z % owords;
-        std::uint64_t word = 0;
-        const std::int64_t base =
-            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
-        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
-        for (std::int64_t b = 0; b < limit; ++b) {
-          if (bits[static_cast<std::size_t>(base + b)] != 0) {
-            word |= (std::uint64_t{1} << b);
-          }
-        }
-        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
-      });
+  enqueue_pack(ctx, name_, d, bits, out);
   return out;
 }
 
@@ -777,37 +721,25 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   // intermediates live in the engine arena.
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
   const auto pw = v.pack_width;
   const std::int64_t len = d.kh * d.kw * d.c_in;
   const std::int64_t tile = std::min(v.tile_ow, d.ow);
   const std::int64_t tiles_x = ceil_div(d.ow, tile);
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
   const std::int64_t out_count = d.n * d.oh * d.ow * d.c_out;
 
   // Kernel 1: raw binary convolution, int32 sums out.
   std::int32_t* sums = ctx.arena.i32(out_count);
-  KernelCost conv_cost;
-  conv_cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(conv_cost, d, ctx.opts, split, /*shared_window=*/false);
-  conv_cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  conv_cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes());
-  conv_cost.bytes_written = outputs * 4.0;
-  conv_cost.coalescing = costs::coalescing(ctx.opts);
-  conv_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
   ctx.queue.enqueue(
-      name_ + ".bconv_raw", NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
-      [&, d, pw, len, split, tile, zeros, sums](const WorkItem& it) {
+      name_ + ".bconv_raw", NDRange{tiles_x, d.oh, d.n * d.c_out},
+      raw_cost(d, ctx.opts, pw),
+      [&, d, pw, len, tile, sums](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
         const std::int64_t co = it.z % d.c_out;
         const bool y_in = it.y >= d.y0 && it.y < d.y1;
         const std::int64_t x_end = std::min(d.ow, (it.x + 1) * tile);
         for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-          const std::int64_t mism = window_mismatches(
-              in, weights_, d, n, it.y, ox, co, zeros, pw, split, y_in);
+          const std::int64_t mism =
+              window_mismatches(in, weights_, d, n, it.y, ox, co, pw, y_in);
           sums[static_cast<std::size_t>(
               ((n * d.oh + it.y) * d.ow + ox) * d.c_out + co)] =
               static_cast<std::int32_t>(len - 2 * mism);
@@ -816,16 +748,10 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
 
   // Kernel 2: full floating-point batch-norm + sign binarization.
   std::uint8_t* bits = ctx.arena.u8(out_count);
-  KernelCost bn_cost;
-  bn_cost.scalar_ops = outputs * 6.0;  // add, sub, div, mul, add, compare
-  bn_cost.bytes_read = outputs * 4.0 + static_cast<double>(d.c_out) * 20.0;
-  bn_cost.bytes_written = outputs;
-  bn_cost.coalescing = costs::coalescing(ctx.opts);
-  bn_cost.alu_efficiency = costs::kAuxKernelEff;
   const std::vector<BatchNormParams>& bn = bn_;
   const std::vector<float>& bias = bias_;
   ctx.queue.enqueue_chunked(
-      name_ + ".bn_binarize", NDRange{out_count}, bn_cost,
+      name_ + ".bn_binarize", NDRange{out_count}, bn_binarize_cost(d, ctx.opts),
       [&, d, sums, bits](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           const std::size_t ci = static_cast<std::size_t>(i % d.c_out);
@@ -836,30 +762,8 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
         }
       });
 
-  // Kernel 3: packing (same as path B's second kernel).
-  const std::int64_t owords = out.words_per_pixel();
-  KernelCost pack_cost;
-  pack_cost.scalar_ops = outputs;
-  pack_cost.bytes_read = outputs;
-  pack_cost.bytes_written = static_cast<double>(out.bytes());
-  pack_cost.coalescing = costs::coalescing(ctx.opts);
-  pack_cost.alu_efficiency = costs::kAuxKernelEff;
-  ctx.queue.enqueue(
-      name_ + ".pack", NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
-      [&, d, owords, bits](const WorkItem& it) {
-        const std::int64_t n = it.z / owords;
-        const std::int64_t j = it.z % owords;
-        std::uint64_t word = 0;
-        const std::int64_t base =
-            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
-        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
-        for (std::int64_t b = 0; b < limit; ++b) {
-          if (bits[static_cast<std::size_t>(base + b)] != 0) {
-            word |= (std::uint64_t{1} << b);
-          }
-        }
-        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
-      });
+  // Kernel 3: packing (path B's second kernel).
+  enqueue_pack(ctx, name_, d, bits, out);
   return out;
 }
 
@@ -876,19 +780,12 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   // are bit-exact with the window-streaming schedule.
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const std::int64_t k_words = d.kh * d.kw * d.words;
+  const std::int64_t k_words = gemm_k_words(d);
   const std::int64_t m = d.n * d.oh * d.ow;
   std::uint64_t* panel = ctx.arena.words(m * k_words);
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
 
-  KernelCost col_cost;
-  col_cost.scalar_ops = static_cast<double>(m * k_words);
-  col_cost.bytes_read = panel_bytes;
-  col_cost.bytes_written = panel_bytes;
-  col_cost.coalescing = costs::coalescing(ctx.opts);
-  col_cost.alu_efficiency = costs::kAuxKernelEff;
   ctx.queue.enqueue(
-      name_ + ".im2col", NDRange{d.ow, d.oh, d.n}, col_cost,
+      name_ + ".im2col", NDRange{d.ow, d.oh, d.n}, im2col_cost(d, ctx.opts),
       [&, d, k_words, panel](const WorkItem& it) {
         const std::int64_t n = it.z;
         std::uint64_t* row =
@@ -925,8 +822,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   const std::int64_t len = d.kh * d.kw * d.c_in;
   const std::int64_t out_pitch = out.words_per_pixel() * 8;  // bytes/pixel
   const FoldedBatchNorm& fb = folded_;
-  const double outputs = static_cast<double>(m) * d.c_out;
-  auto* out_bytes_reuse = reinterpret_cast<std::uint8_t*>(out.data());
+  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
 
   if (v.reuse) {
     // Partial-popcount reuse schedule (DESIGN.md §12): one work item per
@@ -937,29 +833,11 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
     // partials plus their delta corrections (stage 2). Bit-exact with the
     // plain tile against the reconstructed weights.
     const bitpack::CompressedFilterBank& bank = compressed_bank();
-    const double unique = static_cast<double>(bank.unique_rows());
-    const double delta_words = static_cast<double>(bank.stats().delta_words);
-    KernelCost reuse_cost;
-    reuse_cost.bitop_bits = costs::reuse_gemm_bitop_bits(
-        static_cast<double>(m), unique, static_cast<double>(k_words),
-        delta_words);
-    reuse_cost.pack_width_bits = bitpack::bits(
-        bitpack::cap_pack_width_to_span(v.pack_width, k_words));
-    reuse_cost.instr_overhead_cycles = costs::instr_overhead_gemm(ctx.opts);
-    reuse_cost.span_count = static_cast<double>(m_tiles) *
-                            (unique + static_cast<double>(groups));
-    reuse_cost.span_setup_cycles = costs::kGemmTileSetupCycles;
-    reuse_cost.scalar_ops = outputs * 5.0;
-    reuse_cost.bytes_read = panel_bytes +
-                            static_cast<double>(bank.stats().encoded_bytes) +
-                            static_cast<double>(d.c_out) * 5.0;
-    reuse_cost.bytes_written = packed_out_bytes(d);
-    reuse_cost.coalescing = costs::coalescing(ctx.opts);
-    reuse_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
     ctx.queue.enqueue(
-        name_ + ".bitgemm_reuse", NDRange{m_tiles, 1, 1}, reuse_cost,
-        [&, d, k_words, m, out_pitch, branch_free, len, groups, panel,
-         out_bytes_reuse](const WorkItem& it) {
+        name_ + ".bitgemm_reuse", NDRange{m_tiles, 1, 1},
+        gemm_reuse_cost(d, ctx.opts, v.pack_width, bank),
+        [&, k_words, m, out_pitch, branch_free, len, groups, panel,
+         out_bytes](const WorkItem& it) {
           const std::int64_t m0 = it.x * bitpack::kGemmMr;
           const std::int64_t rows =
               std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
@@ -972,7 +850,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
                                                 bank, g, rows, partials,
                                                 mism);
             for (std::int64_t r = 0; r < rows; ++r) {
-              out_bytes_reuse[(m0 + r) * out_pitch + g] =
+              out_bytes[(m0 + r) * out_pitch + g] =
                   group_byte(&mism[r * 8], g, len, fb, branch_free);
             }
           }
@@ -980,27 +858,11 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
     return out;
   }
 
-  KernelCost gemm_cost;
-  gemm_cost.bitop_bits =
-      outputs * 2.0 * static_cast<double>(k_words) * bitpack::kWordBits;
-  gemm_cost.pack_width_bits = bitpack::bits(
-      bitpack::cap_pack_width_to_span(v.pack_width, k_words));
-  gemm_cost.instr_overhead_cycles = costs::instr_overhead_gemm(ctx.opts);
-  gemm_cost.span_count =
-      static_cast<double>(m_tiles) * static_cast<double>(groups);
-  gemm_cost.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm_cost.scalar_ops = outputs * 4.0;  // threshold compare + byte insert
-  gemm_cost.bytes_read = panel_bytes +
-                         static_cast<double>(weights_.bytes()) +
-                         static_cast<double>(d.c_out) * 5.0;
-  gemm_cost.bytes_written = static_cast<double>(out.bytes());
-  gemm_cost.coalescing = costs::coalescing(ctx.opts);
-  gemm_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      name_ + ".bitgemm", NDRange{m_tiles, groups, 1}, gemm_cost,
-      [&, d, k_words, m, out_pitch, branch_free, len,
-       panel](const WorkItem& it) {
+      name_ + ".bitgemm", NDRange{m_tiles, groups, 1},
+      gemm_cost(d, ctx.opts, v.pack_width),
+      [&, k_words, m, out_pitch, branch_free, len, panel,
+       out_bytes](const WorkItem& it) {
         const std::int64_t m0 = it.x * bitpack::kGemmMr;
         const std::int64_t rows =
             std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
@@ -1020,17 +882,13 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
 PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
                                                const PackedTensor& in,
                                                const KernelVariant& v) const {
-  // Path A with the duplicate-lane table (DESIGN.md §12): selection only
-  // takes this variant with the interior split on, so there is no per-tap
-  // ablation arm here. Work and traffic scale by the bank's distinct-lane
-  // fraction; results are bit-exact with forward_fused.
+  // Path A with the duplicate-lane table (DESIGN.md §12). Work and traffic
+  // scale by the bank's distinct-lane fraction; results are bit-exact with
+  // forward_fused.
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const bitpack::CompressedFilterBank& bank = compressed_bank();
   const std::uint8_t* lane_src = bank.lane_sources().data();
-  const double distinct_frac =
-      static_cast<double>(bank.distinct_group_lanes()) /
-      static_cast<double>(d.c_out);
   const auto pw = v.pack_width;
   const bool branch_free = ctx.opts.branch_free_binarize;
   const std::int64_t len = d.kh * d.kw * d.c_in;
@@ -1039,27 +897,10 @@ PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
   const std::int64_t groups = d.c_out / 8;
   const FoldedBatchNorm& fb = folded_;
 
-  // Mirrors modeled_window_dedup_ms exactly (same expressions), so the
-  // recorded modeled time equals what selection compared.
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits =
-      outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
-  charge_windows_dedup(cost, d, ctx.opts, distinct_frac);
-  cost.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
-  cost.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
-  cost.bytes_read = packed_in_bytes(d) +
-                    packed_weight_bytes(d) * distinct_frac +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.bytes_written = packed_out_bytes(d);
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
       name_ + ".bconv_fused_dedup", NDRange{tiles_x, d.oh, d.n * groups},
-      cost,
+      fused_dedup_cost(d, ctx.opts, pw, bank),
       [&, d, pw, branch_free, len, groups, tile,
        lane_src](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
@@ -1095,9 +936,6 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
   const std::int64_t lp = pg.lead_pad();
   PackedTensor out = ctx.make_packed(step.out.shape);
 
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
   const auto pw = v.pack_width;
   const bool branch_free = ctx.opts.branch_free_binarize;
   const std::int64_t len = d.kh * d.kw * d.c_in;
@@ -1107,32 +945,19 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
   const std::int64_t groups = d.c_out / 8;
   const FoldedBatchNorm& fb = folded_;
 
-  // Conv work is unchanged (every conv output is still computed once); the
-  // pool adds its OR bit-ops, and the memory side drops the intermediate:
-  // only the pooled map is written, nothing re-read.
-  const double conv_outputs =
-      static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const double pooled_outputs =
-      static_cast<double>(d.n) * poh * pow_ * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits = conv_outputs * window_bitops(d, pw, split) +
-                    pooled_outputs *
-                        static_cast<double>(pg.size * pg.size - 1);
-  charge_windows(cost, d, ctx.opts, split, /*shared_window=*/true);
-  cost.scalar_ops += conv_outputs * 4.0;  // threshold + byte insert
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes()) +
-                    static_cast<double>(d.c_out) * 5.0;
+  // Path A's tally (every conv output is still computed once) plus the
+  // pool's OR bit-ops; the memory side drops the intermediate: only the
+  // pooled map is written, nothing re-read.
+  KernelCost cost = fused_cost(d, ctx.opts, pw);
+  cost.bitop_bits += static_cast<double>(d.n) * poh * pow_ * d.c_out *
+                     static_cast<double>(pg.size * pg.size - 1);
   cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
       name_ + ".bconv_fused_pool", NDRange{tiles_x, poh, d.n * groups}, cost,
-      [&, d, pg, lp, poh, pow_, pw, branch_free, len, groups, split, tile,
-       zeros](const WorkItem& it) {
+      [&, d, pg, lp, poh, pow_, pw, branch_free, len, groups,
+       tile](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
         const std::int64_t g = it.z % groups;
         const std::int64_t px0 = it.x * tile;
@@ -1157,8 +982,7 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
           std::uint8_t* row = rowbuf.data() + ky * span;
           for (std::int64_t cx = cx0; cx < cx1; ++cx) {
             std::int64_t mism[8];
-            group_mismatches(in, weights_, d, n, cy, cx, g, zeros, pw,
-                             split, y_in, mism);
+            group_mismatches(in, weights_, d, n, cy, cx, g, pw, y_in, mism);
             row[cx - cx0] = group_byte(mism, g, len, fb, branch_free);
           }
         }

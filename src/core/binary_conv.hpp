@@ -24,14 +24,15 @@
 // contribute -1 per channel (all-zero packed words), the standard BNN
 // convention. The float reference used by tests pads with -1 accordingly.
 //
-// All paths share a row-fused window accumulator (DESIGN.md §4): the kw taps
-// of one filter row are contiguous in the NHWC-packed layout, so an interior
+// Paths A–C share one window schedule (DESIGN.md §4): the kw taps of one
+// filter row are contiguous in the NHWC-packed layout, so an interior
 // window — precomputed as the output rectangle that never touches padding —
 // is ONE strided xor+popcount over the whole filter, and border windows
 // resolve padding per filter row (a padded tap's mismatches are just the
-// popcount of its weight span). EngineOptions::interior_split turns the
-// specialization off for ablation; conv_tile_ow sets the output-x tile each
-// work item owns. Intermediates live in the engine's ScratchArena.
+// popcount of its weight span). Each work item owns a tile of 8 output
+// columns. Each path's kernel costs are built once and shared by
+// ahead-of-time selection and dispatch. Intermediates live in the engine's
+// ScratchArena.
 #pragma once
 
 #include <memory>
@@ -86,9 +87,9 @@ class BinaryConv2d final : public Layer {
 
  private:
   /// Ahead-of-time kernel selection from input geometry + options: the
-  /// execution path (A/B/C), the pack width (span- or channel-keyed), the
-  /// interior split and the resolved output-x tile. Called once at compile;
-  /// the uncompiled forward() re-derives it per call.
+  /// execution path (A/B/C/D), the span-keyed pack width and the resolved
+  /// output-x tile. Called once at compile; the uncompiled forward()
+  /// re-derives it per call.
   KernelVariant select_variant(const Shape& in_shape,
                                const EngineOptions& opts) const;
   /// Validated input extraction shared by forward()/run().

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "bitpack/binary_ops.hpp"
 #include "bitpack/pack.hpp"
@@ -51,21 +50,16 @@ const U8Tensor& InputConv2d::checked_input(const Blob& in) const {
 KernelVariant InputConv2d::select_variant(const Shape& in_shape,
                                          const EngineOptions& opts) const {
   KernelVariant v;
-  v.interior_split = opts.interior_split;
   v.pack_width = opts.conv_pack_width(in_shape.c, geom_.kernel_w);
   v.kernel = "bitplane_split+conv_fused";
   return v;
 }
 
-std::int64_t InputConv2d::scratch_words(const Shape& in_shape,
-                                        bool split) const {
-  const std::int64_t words = ceil_div(in_shape.c, bitpack::kWordBits);
-  const std::int64_t plane_words =
-      in_shape.n * in_shape.h * in_shape.w * words;
-  // 8 bit planes, plus the legacy per-tap path's all-zero padding span
-  // (the row-fused border path never reads padding: AND against a zero
-  // plane contributes nothing, so out-of-bounds taps are simply skipped).
-  return plane_words * 8 + (split ? 0 : words);
+std::int64_t InputConv2d::scratch_words(const Shape& in_shape) const {
+  // The 8 bit planes. The border path never reads padding: AND against a
+  // zero plane contributes nothing, so out-of-bounds taps are skipped.
+  return in_shape.n * in_shape.h * in_shape.w *
+         ceil_div(in_shape.c, bitpack::kWordBits) * 8;
 }
 
 void InputConv2d::plan(PlanContext& pc) const {
@@ -79,7 +73,7 @@ void InputConv2d::plan(PlanContext& pc) const {
   const std::int64_t oh = geom_.out_h(in.shape.h);
   const std::int64_t ow = geom_.out_w(in.shape.w);
   KernelVariant v = select_variant(in.shape, pc.opts());
-  pc.need_words(scratch_words(in.shape, v.interior_split));
+  pc.need_words(scratch_words(in.shape));
   pc.select(std::move(v));
   pc.produce(BlobDesc{BlobKind::kPacked,
                       Shape{in.shape.n, oh, ow, out_channels()}});
@@ -106,25 +100,20 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
   const std::int64_t sh = geom_.stride_h, sw = geom_.stride_w;
   const std::int64_t ph = geom_.pad_h, pw_pad = geom_.pad_w;
   const std::int64_t words = ceil_div(is.c, bitpack::kWordBits);
-  const bool split = v.interior_split;
   const auto pw = v.pack_width;
 
   // The 8 bit planes live in the session arena (one contiguous words-pool
   // span — a single request, honouring the one-live-span-per-kind
-  // contract), with the legacy zeros span appended when the per-tap
-  // ablation path needs it.
+  // contract).
   const std::int64_t plane_words = is.n * is.h * is.w * words;
   // Cascade reuse seam: a caller-attached plane cache replaces the arena
   // span. A filled cache over the same geometry short-circuits the split
   // kernel entirely (deterministically cheaper modeled time); an empty or
-  // stale one is (re)filled by the split kernel at the normal cost. Only
-  // the split (row-fused) path participates — the per-tap ablation path
-  // needs its zeros span contiguous with the planes in the arena.
-  InputPlaneCache* cache = split ? ctx.planes : nullptr;
+  // stale one is (re)filled by the split kernel at the normal cost.
+  InputPlaneCache* cache = ctx.planes;
   const bool cache_hit =
       cache != nullptr && cache->filled && cache->shape == is;
   std::uint64_t* planes = nullptr;
-  std::uint64_t* zeros = nullptr;
   if (cache != nullptr) {
     if (!cache_hit) {
       cache->words.resize(static_cast<std::size_t>(plane_words) * 8);
@@ -133,11 +122,7 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
     }
     planes = cache->words.data();
   } else {
-    planes = ctx.arena.words(scratch_words(is, split));
-    zeros = split ? nullptr : planes + plane_words * 8;
-    if (!split) {
-      std::memset(zeros, 0, static_cast<std::size_t>(words) * 8);
-    }
+    planes = ctx.arena.words(scratch_words(is));
   }
   const std::int64_t row_pitch = is.w * words;  // plane words per image row
   const auto plane_span = [planes, plane_words, row_pitch, words,
@@ -190,44 +175,29 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
   const bool branch_free = ctx.opts.branch_free_binarize;
   const FoldedBatchNorm& fb = folded_;
 
-  // Interior output box: same shared geometry as the binary conv's split.
+  // Interior output box: same shared geometry as the binary conv.
   const InteriorBox box = interior_box(geom_, is.h, is.w, oh, ow);
   const std::int64_t y0 = box.y0, y1 = box.y1, x0 = box.x0, x1 = box.x1;
 
+  // Row-fused schedule: per plane, an interior window is kh spans of
+  // kw*words words (one strided and_popcount with a scalar tail, so the
+  // exact word bits are charged); the hoisted window sum adds kh popcount
+  // spans per plane per output pixel. The filter-side spans run the
+  // shared-window schedule (and_popcount_2d_x8): each plane span is loaded
+  // once per group and scored against all 8 filters, so its setup
+  // amortizes 8x (costs::shared_window_spans).
   KernelCost cost;
   const double outputs = static_cast<double>(is.n) * oh * ow * c_out;
   const double opixels = static_cast<double>(is.n) * oh * ow;
-  if (split) {
-    // Row-fused schedule: per plane, an interior window is kh spans of
-    // kw*words words (one strided and_popcount with a scalar tail, so the
-    // exact word bits are charged); the hoisted window sum adds kh popcount
-    // spans per plane per output pixel. The filter-side spans run the
-    // shared-window schedule (and_popcount_2d_x8): each plane span is
-    // loaded once per group and scored against all 8 filters, so its setup
-    // amortizes 8x (costs::shared_window_spans).
-    const double row_bits =
-        static_cast<double>(kw * words * bitpack::kWordBits);
-    cost.bitop_bits = outputs * 8.0 * 2.0 * static_cast<double>(kh) * row_bits;
-    cost.span_count =
-        outputs * 8.0 *
-            costs::shared_window_spans(static_cast<double>(kh)) +
-        opixels * 8.0 * static_cast<double>(kh);
-    cost.span_setup_cycles = costs::kSpanSetupCycles;
-    cost.instr_overhead_cycles = costs::instr_overhead_fused(ctx.opts);
-    cost.pack_width_bits =
-        bitpack::bits(bitpack::cap_pack_width_to_span(pw, kw * words));
-  } else {
-    // Per-tap ablation arm, costed as the window-packed schedule: the whole
-    // KxKxC window's bits processed contiguously at the vector width chosen
-    // for KxKxC (e.g. YOLO conv1: 27 bits -> 32-bit vectors).
-    const auto window_pw = ctx.opts.pack_width_for(kh * kw * is.c);
-    const double window_bits = static_cast<double>(
-        ceil_div(kh * kw * is.c, bitpack::bits(window_pw)) *
-        bitpack::bits(window_pw));
-    cost.bitop_bits = outputs * 8.0 * 2.0 * window_bits;
-    cost.instr_overhead_cycles = costs::instr_overhead(ctx.opts);
-    cost.pack_width_bits = bitpack::bits(window_pw);
-  }
+  const double row_bits = static_cast<double>(kw * words * bitpack::kWordBits);
+  cost.bitop_bits = outputs * 8.0 * 2.0 * static_cast<double>(kh) * row_bits;
+  cost.span_count =
+      outputs * 8.0 * costs::shared_window_spans(static_cast<double>(kh)) +
+      opixels * 8.0 * static_cast<double>(kh);
+  cost.span_setup_cycles = costs::kSpanSetupCycles;
+  cost.instr_overhead_cycles = costs::instr_overhead_fused(ctx.opts);
+  cost.pack_width_bits =
+      bitpack::bits(bitpack::cap_pack_width_to_span(pw, kw * words));
   cost.scalar_ops = outputs * (8.0 + 4.0);
   cost.bytes_read = static_cast<double>(plane_words) * 8.0 * 8.0 +
                     static_cast<double>(weights_.bytes());
@@ -238,14 +208,14 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
       name_ + ".bitplane_conv_fused", NDRange{ow, oh, is.n * groups}, cost,
-      [&, oh, ow, kh, kw, sh, sw, ph, pw_pad, words, groups, branch_free, pw,
-       split, y0, y1, x0, x1, row_pitch, zeros](const WorkItem& it) {
+      [&, kh, kw, sh, sw, ph, pw_pad, words, groups, branch_free, pw, y0, y1,
+       x0, x1, row_pitch](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
         const std::int64_t g = it.z % groups;
         const std::int64_t iy0 = it.y * sh - ph;
         const std::int64_t ix0 = it.x * sw - pw_pad;
-        const bool interior = split && it.y >= y0 && it.y < y1 &&
-                              it.x >= x0 && it.x < x1;
+        const bool interior =
+            it.y >= y0 && it.y < y1 && it.x >= x0 && it.x < x1;
         // Border rows clamp each filter row to its in-bounds tap run; the
         // 0/1 planes make padding free (AND against zero contributes 0).
         const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, kw);
@@ -262,7 +232,7 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
             }
             window_sum += (std::int64_t{1} << k) * bits_set;
           }
-        } else if (split) {
+        } else {
           for (std::int64_t ky = 0; ky < kh; ++ky) {
             const std::int64_t iy = iy0 + ky;
             if (iy < 0 || iy >= is.h || hi <= lo) continue;
@@ -271,20 +241,6 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
                             bitpack::popcount_words(
                                 plane_span(k, n, iy, ix0 + lo),
                                 (hi - lo) * words);
-            }
-          }
-        } else {
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= is.h) continue;  // zero padding: planes are 0
-            for (std::int64_t kx = 0; kx < kw; ++kx) {
-              const std::int64_t ix = ix0 + kx;
-              if (ix < 0 || ix >= is.w) continue;
-              for (int k = 0; k < 8; ++k) {
-                window_sum += (std::int64_t{1} << k) *
-                              bitpack::popcount_words(plane_span(k, n, iy, ix),
-                                                      words);
-              }
             }
           }
         }
@@ -306,7 +262,7 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
               weighted[f] += (std::int64_t{1} << k) * adds[f];
             }
           }
-        } else if (split) {
+        } else {
           for (int f = 0; f < 8; ++f) {
             const std::int64_t co = g * 8 + f;
             for (std::int64_t ky = 0; ky < kh; ++ky) {
@@ -319,26 +275,6 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
                     bitpack::and_popcount(plane_span(k, n, iy, ix0 + lo),
                                           wrow + lo * words, (hi - lo) * words,
                                           pw);
-              }
-            }
-          }
-        } else {
-          for (int f = 0; f < 8; ++f) {
-            const std::int64_t co = g * 8 + f;
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t iy = iy0 + ky;
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ix = ix0 + kx;
-                const bool inside =
-                    iy >= 0 && iy < is.h && ix >= 0 && ix < is.w;
-                const std::uint64_t* wspan = weights_.pixel(co, ky, kx);
-                for (int k = 0; k < 8; ++k) {
-                  const std::uint64_t* pspan =
-                      inside ? plane_span(k, n, iy, ix) : zeros;
-                  weighted[f] += (std::int64_t{1} << k) *
-                                 bitpack::and_popcount(pspan, wspan, words,
-                                                       pw);
-                }
               }
             }
           }

@@ -14,9 +14,7 @@
 // the weights, so an interior window is ONE strided and_popcount per plane
 // and border windows clamp each filter row to its in-bounds run — a padded
 // tap ANDs against an all-zero plane and contributes nothing, so the border
-// path needs no zeros span at all. `interior_split` off restores the
-// per-tap loop with its per-tap padding branch as the ablation baseline.
-// The 8 bit planes live in the session arena (planned scratch), not in
+// path needs no zeros span at all. The 8 bit planes live in the session arena (planned scratch), not in
 // per-forward heap allocations.
 #pragma once
 
@@ -60,8 +58,8 @@ class InputConv2d final : public Layer {
   KernelVariant select_variant(const Shape& in_shape,
                                const EngineOptions& opts) const;
   const U8Tensor& checked_input(const Blob& in) const;
-  /// Arena words needed for the 8 bit planes (+ legacy zeros span).
-  std::int64_t scratch_words(const Shape& in_shape, bool split) const;
+  /// Arena words needed for the 8 bit planes.
+  std::int64_t scratch_words(const Shape& in_shape) const;
   bitpack::PackedTensor execute(ExecContext& ctx, const U8Tensor& image,
                                 const KernelVariant& v) const;
 

@@ -2,7 +2,10 @@
 //
 // Every optimization the paper describes is a switch here so the ablation
 // benchmarks can turn them off one at a time (DESIGN.md §3). Defaults are
-// the paper's configuration.
+// the paper's configuration. The engine's own conv schedule — the
+// row-fused interior/border window walk with span-keyed pack widths and
+// 8-column output tiles (DESIGN.md §4) — is not a switch: it is the one
+// schedule every conv runs.
 #pragma once
 
 #include <cstdint>
@@ -68,34 +71,11 @@ struct EngineOptions {
   /// (private memory cannot hold the 8-filter working set).
   std::int64_t packing_channel_threshold = 256;
 
-  /// Interior/border specialization of the binary conv (DESIGN.md §4): the
-  /// output rectangle whose windows never touch padding runs a branch-free
-  /// row-fused fast path (one strided xor+popcount per window); only border
-  /// rows/columns take the guarded path. When false, every window runs the
-  /// pre-optimization per-tap loop — kept as the ablation baseline.
-  bool interior_split = true;
-
-  /// Output-x tile width of the conv fast path: one work item owns a run of
-  /// `conv_tile_ow` consecutive output columns, amortizing per-item dispatch
-  /// and keeping the filter row hot. 0 means one tile spans the whole row.
-  std::int64_t conv_tile_ow = 8;
-
-  /// §V-A.2: pick xor/popcount vector granularity per layer from its channel
-  /// count. When false, `fixed_pack_width` is used everywhere.
+  /// §V-A.2: pick xor/popcount vector granularity per layer from the packed
+  /// span its inner loop streams (the channel words of a filter row, or of
+  /// a dense row). When false, `fixed_pack_width` is used everywhere.
   bool auto_pack_width = true;
   bitpack::PackWidth fixed_pack_width = bitpack::PackWidth::k64;
-
-  /// Pack-width selection key for the row-fused conv fast path: key the
-  /// granularity on the fused span length `kw * words` (the contiguous run
-  /// the interior kernel actually streams, instruction count minimized tail
-  /// included — select_pack_width_for_span) instead of C_in. Only consulted
-  /// when `interior_split` fuses rows; the per-tap ablation path always
-  /// keys on C_in. Default ON: the bench_kernels ablation (the `/fast-ckey`
-  /// records in BENCH_kernels.json) shows the span key cuts the narrow
-  /// 7x7/c64 layer ~20% host time (7 scalar words become 1 ulong4 op + 3
-  /// tail words) and ties within noise on wide layers, where both keys
-  /// resolve to the same width.
-  bool span_keyed_pack_width = true;
 
   /// Conv path policy (DESIGN.md §11): under kAuto the planner compares the
   /// modeled time of the window-streaming schedule against the bit-GEMM
@@ -125,33 +105,22 @@ struct EngineOptions {
   friend bool operator==(const EngineOptions&, const EngineOptions&) =
       default;
 
-  /// Resolves the pack width for a layer with `channels` input channels.
-  bitpack::PackWidth pack_width_for(std::int64_t channels) const {
-    return auto_pack_width ? bitpack::select_pack_width(channels)
+  /// Resolves the pack width for a kernel streaming contiguous spans of
+  /// `span_words` words: the width minimizing the per-span instruction
+  /// count, tail included (select_pack_width_for_span), or the fixed width
+  /// when per-layer selection is off.
+  bitpack::PackWidth pack_width_for_span(std::int64_t span_words) const {
+    return auto_pack_width ? bitpack::select_pack_width_for_span(span_words)
                            : fixed_pack_width;
   }
 
-  /// Resolves the pack width for a kernel streaming contiguous spans of
-  /// `span_words` words: keyed on the span when `span_keyed_pack_width` is
-  /// on (minimizing the per-span instruction count, tail included), else on
-  /// the channel count as before.
-  bitpack::PackWidth pack_width_for_span(std::int64_t channels,
-                                         std::int64_t span_words) const {
-    if (!auto_pack_width) return fixed_pack_width;
-    return span_keyed_pack_width
-               ? bitpack::select_pack_width_for_span(span_words)
-               : bitpack::select_pack_width(channels);
-  }
-
-  /// Pack width of a conv's inner loop under the current keying: the fused
-  /// row span `kw * words` when the interior split fuses rows, the per-tap
-  /// channel count otherwise. Shared by the binary and bit-plane convs so
+  /// Pack width of a conv's inner loop: keyed on the fused filter-row span
+  /// `kw * words` it streams. Shared by the binary and bit-plane convs so
   /// their variant selection cannot drift.
   bitpack::PackWidth conv_pack_width(std::int64_t channels,
                                      std::int64_t kernel_w) const {
-    const std::int64_t words = ceil_div(channels, bitpack::kWordBits);
-    return interior_split ? pack_width_for_span(channels, kernel_w * words)
-                          : pack_width_for(channels);
+    return pack_width_for_span(kernel_w *
+                               ceil_div(channels, bitpack::kWordBits));
   }
 };
 

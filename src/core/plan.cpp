@@ -294,7 +294,6 @@ std::string ExecutionPlan::dump() const {
       os << " path=" << letter;
     }
     os << " pw=" << bitpack::bits(st.variant.pack_width)
-       << (st.variant.interior_split ? " split" : "")
        << (st.variant.reuse ? " reuse" : "");
     if (st.variant.path == KernelVariant::Path::kConvGemm) {
       // The GEMM register-tile shape: tile_ow M-rows x the 8-filter group.

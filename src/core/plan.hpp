@@ -12,7 +12,7 @@
 //       intermediate tensor is a borrowed view over its slot, so a warm
 //       session performs zero buffer allocations per forward),
 //   (c) select each layer's kernel variant (execution path, pack width,
-//       interior split, tile width) once from geometry + EngineOptions,
+//       tile width) once from geometry + EngineOptions,
 //   (d) resolve fusion: BN+binarize folds into the producing kernel where
 //       the layer contract allows (path A/B vs the unfused path C), and a
 //       plan-level pass rewrites `BinaryConv2d → MaxPool` chains into one
@@ -119,8 +119,6 @@ struct KernelVariant {
   Path path = Path::kDefault;
   /// Vector granularity of the xor/and+popcount inner loop.
   bitpack::PackWidth pack_width = bitpack::PackWidth::k64;
-  /// Interior/border specialization on (row-fused fast path).
-  bool interior_split = false;
   /// Resolved output-x tile width (0 = the layer does not tile).
   std::int64_t tile_ow = 0;
   /// Partial-popcount reuse schedule selected (DESIGN.md §12): path D scores
@@ -247,8 +245,8 @@ class PlanContext {
   /// The arena keeps ONE live span per kind (every i32()/f32()/u8()/words()
   /// call returns the same pool base), so a layer needing several same-kind
   /// buffers must carve them out of a single combined request — and its
-  /// declarations here must sum to that request (InputConv2d's planes +
-  /// zeros span is the pattern). Requests of different kinds are disjoint.
+  /// declarations here must sum to that request (InputConv2d's 8 bit
+  /// planes are the pattern). Requests of different kinds are disjoint.
   void need_i32(std::int64_t n) { scratch_.i32 += n; }
   void need_f32(std::int64_t n) { scratch_.f32 += n; }
   void need_u8(std::int64_t n) { scratch_.u8 += n; }

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_count.hpp"
@@ -112,7 +113,7 @@ class ArtifactTest : public ::testing::Test {
                        BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});
   }
 
-  std::string path_ = ::testing::TempDir() + "phonebit_test_artifact.pba";
+  std::string path_ = testing::temp_file("test_artifact.pba");
 };
 
 // ---------------------------------------------------------------------------
@@ -197,9 +198,6 @@ TEST_F(ArtifactTest, RoundTripExactUnderAblationOptions) {
   EngineOptions no_integrate;
   no_integrate.integrate_packing = false;  // path B
   cases.push_back({"separate-pack", no_integrate});
-  EngineOptions taps;
-  taps.interior_split = false;  // legacy per-tap loop
-  cases.push_back({"per-tap", taps});
 
   for (const OptCase& c : cases) {
     core::Engine engine(testing::test_device(), c.opts);
@@ -213,6 +211,130 @@ TEST_F(ArtifactTest, RoundTripExactUnderAblationOptions) {
         loaded.plan.run(s2, core::Blob{image}),
         plan.run(s1, core::Blob{image})))
         << c.label;
+  }
+}
+
+/// The options record and every kernel variant still carry bytes for
+/// conv-schedule knobs the engine no longer has (artifact.hpp): the
+/// interior split (1), the conv tile width (8), span-keyed pack widths (1)
+/// and each variant's split flag (1 on conv and input-conv steps, 0
+/// elsewhere). Default v3 and v4 files hold exactly those values and load
+/// bit-exact and byte-stable; a resealed file recording any other value —
+/// say, one asking for the removed per-tap schedule — is rejected naming
+/// the section and the offset just past the field.
+TEST_F(ArtifactTest, RemovedScheduleFieldsAcceptOnlyTheirFixedValues) {
+  const FloatModel model = FloatModel::random(models::quicknet(10), 640);
+  const U8Tensor image = datasets::cifar_like_image(641);
+  auto net = core::convert_to_phonebit(model);
+  EngineOptions compressed;
+  compressed.weight_compress = core::WeightCompress::kAuto;
+
+  struct FormatCase {
+    std::uint32_t version;
+    EngineOptions opts;
+  };
+  for (const FormatCase& c : {FormatCase{3, EngineOptions{}},
+                              FormatCase{4, compressed}}) {
+    SCOPED_TRACE("v" + std::to_string(c.version));
+    core::Engine engine(testing::test_device(), c.opts);
+    const ExecutionPlan plan =
+        net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
+    artifact::save(*net, plan, path_);
+    const std::vector<std::uint8_t> buf = read_bytes(path_);
+    std::uint32_t version = 0;
+    std::memcpy(&version, buf.data() + artifact::kVersionOffset, 4);
+    ASSERT_EQ(version, c.version);
+
+    // Default files: bit-exact replay, save(load(x)) == x.
+    {
+      const artifact::LoadedArtifact loaded = engine.load_artifact(path_);
+      auto s1 = engine.create_session();
+      auto s2 = engine.create_session();
+      EXPECT_TRUE(testing::expect_bitexact(
+          loaded.plan.run(s2, core::Blob{image}),
+          plan.run(s1, core::Blob{image})));
+      const std::string again = path_ + ".resaved";
+      artifact::save(*loaded.network, loaded.plan, again);
+      EXPECT_EQ(read_bytes(again), buf);
+      std::remove(again.c_str());
+    }
+
+    const auto table = artifact::section_table(path_);
+    auto u32at = [&](std::int64_t at) {
+      std::uint32_t v;
+      std::memcpy(&v, buf.data() + at, 4);
+      return v;
+    };
+    // Writes `value` over the `bytes`-wide field at `at`, reseals, and
+    // expects the loader to name the section and the offset past the field.
+    auto expect_field_rejected = [&](std::int64_t at, std::int64_t value,
+                                     std::size_t bytes, const char* section) {
+      std::vector<std::uint8_t> evil = buf;
+      std::memcpy(evil.data() + at, &value, bytes);  // little-endian
+      patch_checksum(evil);
+      write_bytes(path_, evil);
+      expect_rejected(path_, "(section '" + std::string(section) +
+                                 "', byte offset " +
+                                 std::to_string(at + bytes) + ")");
+    };
+
+    // Options record: 4 flag bytes and the i64 packing threshold, then the
+    // interior split (u8), the conv tile width (i64), auto pack width (u8),
+    // the fixed pack width (u32) and span-keyed pack width (u8).
+    const std::int64_t opt = table[1].body_offset;
+    const std::int64_t split_at = opt + 4 + 8;
+    const std::int64_t tile_at = split_at + 1;
+    const std::int64_t span_key_at = tile_at + 8 + 1 + 4;
+    ASSERT_EQ(buf[static_cast<std::size_t>(split_at)], 1);
+    ASSERT_EQ(buf[static_cast<std::size_t>(tile_at)], 8);
+    ASSERT_EQ(buf[static_cast<std::size_t>(span_key_at)], 1);
+    expect_field_rejected(split_at, 0, 1, "options");
+    expect_field_rejected(tile_at, 0, 8, "options");
+    expect_field_rejected(tile_at, 1, 8, "options");
+    expect_field_rejected(span_key_at, 0, 1, "options");
+
+    // Plan steps: walk to each step's variant split flag.
+    std::int64_t at = table[3].body_offset;
+    at += 4 + u32at(at);  // plan name
+    const std::uint32_t steps = u32at(at);
+    at += 4;
+    std::vector<std::int64_t> split_flags;
+    for (std::uint32_t i = 0; i < steps; ++i) {
+      at += 4 + 4 + 3 * 33;  // layer + fused index, in/out/mid descriptors
+      at += 1 + 4;           // variant: path + pack width
+      split_flags.push_back(at);
+      at += 1 + (c.version >= 4 ? 1 : 0) + 8;  // split [+ reuse] + tile
+      at += 4 + u32at(at);                      // kernel name
+      at += 4 * 8;                              // scratch
+      if (c.version >= 4) at += 3 * 8;          // compression stats
+      at += 4;                                  // slot
+      at += 4 + u32at(at);                      // display name
+    }
+    ASSERT_EQ(split_flags.size(), plan.steps().size());
+    // The first input-conv, binary-conv and other step: the flag must be
+    // 1, 1 and 0, and flipping it must be rejected.
+    std::int64_t input_conv = -1, binary_conv = -1, other = -1;
+    for (std::size_t i = 0; i < plan.steps().size(); ++i) {
+      const core::Layer* layer = plan.steps()[i].layer;
+      const auto idx = static_cast<std::int64_t>(i);
+      if (dynamic_cast<const core::InputConv2d*>(layer) != nullptr) {
+        if (input_conv < 0) input_conv = idx;
+      } else if (dynamic_cast<const core::BinaryConv2d*>(layer) != nullptr) {
+        if (binary_conv < 0) binary_conv = idx;
+      } else if (other < 0) {
+        other = idx;
+      }
+    }
+    ASSERT_GE(input_conv, 0);
+    ASSERT_GE(binary_conv, 0);
+    ASSERT_GE(other, 0);
+    for (const auto& [step, flag] :
+         {std::pair{input_conv, 1}, std::pair{binary_conv, 1},
+          std::pair{other, 0}}) {
+      const std::int64_t flag_at = split_flags[static_cast<std::size_t>(step)];
+      ASSERT_EQ(buf[static_cast<std::size_t>(flag_at)], flag) << step;
+      expect_field_rejected(flag_at, 1 - flag, 1, "plan");
+    }
   }
 }
 

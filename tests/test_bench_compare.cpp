@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/bench_util.hpp"
+#include "test_util.hpp"
 
 namespace phonebit {
 namespace {
@@ -71,8 +72,7 @@ TEST(BenchCompare, MissingHostOnlyRecordStillFails) {
 /// parsing exactly as before, and the comparison gate treats both alike —
 /// the ratio is informational, never gated.
 TEST(BenchCompare, OptionalWeightFieldsRoundTripAndStayUngated) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "phonebit_bench_compat.json";
+  const std::string path = testing::temp_file("bench_compat.json");
   std::vector<BenchRecord> out = baseline();   // old-shape records
   BenchRecord comp{"bconv", "3x3/s1/compressed", 1.0, 5.0};
   comp.weights_bytes = 2812;
@@ -105,8 +105,7 @@ TEST(BenchCompare, OptionalWeightFieldsRoundTripAndStayUngated) {
 /// A half-written record (weights_bytes without ratio) is a parse error,
 /// not a silently dropped field.
 TEST(BenchCompare, TruncatedWeightFieldsRejected) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "phonebit_bench_trunc.json";
+  const std::string path = testing::temp_file("bench_trunc.json");
   {
     std::ofstream f(path);
     f << "{\n  \"bench\": \"kernels\",\n  \"records\": [\n"

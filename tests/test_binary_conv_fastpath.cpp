@@ -86,20 +86,14 @@ TEST_P(FastPathSweep, FastPathEqualsReferenceOnAllPaths) {
         << p.pad_w;
   };
 
-  EngineOptions fast;  // path A (or B when wide), interior split on
+  EngineOptions fast;  // path A (or B when wide)
   check(fast, "fast");
-  EngineOptions no_split;  // per-tap ablation arm must agree bit-exactly
-  no_split.interior_split = false;
-  check(no_split, "taps");
   EngineOptions separate_pack;  // path B
   separate_pack.integrate_packing = false;
   check(separate_pack, "nopack");
   EngineOptions unfused;  // path C
   unfused.fuse_bn_binarize = false;
   check(unfused, "unfused");
-  EngineOptions row_tile;  // whole-row tiles exercise the tile clamp
-  row_tile.conv_tile_ow = 0;
-  check(row_tile, "rowtile");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,27 +140,22 @@ TEST(FastPath, ArenaStopsGrowingAfterWarmup) {
   g.pad_h = g.pad_w = 1;
 
   for (const bool fuse : {true, false}) {
-    for (const bool split : {true, false}) {
-      EngineOptions opts;
-      opts.fuse_bn_binarize = fuse;
-      opts.interior_split = split;
-      core::Engine engine(testing::test_device(), opts);
-      auto session = engine.create_session();
-      auto ctx = session.context();
-      // c_in=320 > packing threshold forces path B when fused, so the byte
-      // map intermediate (the arena's hot customer) is exercised either way.
-      BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-      const core::Blob input{bitpack::pack_signs(in)};
+    EngineOptions opts;
+    opts.fuse_bn_binarize = fuse;
+    core::Engine engine(testing::test_device(), opts);
+    auto session = engine.create_session();
+    auto ctx = session.context();
+    // c_in=320 > packing threshold forces path B when fused, so the byte
+    // map intermediate (the arena's hot customer) is exercised either way.
+    BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
+    const core::Blob input{bitpack::pack_signs(in)};
 
-      conv.forward(ctx, input);  // warm-up: arena reaches high-water mark
-      const int grows = session.arena().growth_events();
-      const std::int64_t cap = session.arena().capacity_bytes();
-      for (int i = 0; i < 5; ++i) conv.forward(ctx, input);
-      EXPECT_EQ(session.arena().growth_events(), grows)
-          << "fuse=" << fuse << " split=" << split;
-      EXPECT_EQ(session.arena().capacity_bytes(), cap)
-          << "fuse=" << fuse << " split=" << split;
-    }
+    conv.forward(ctx, input);  // warm-up: arena reaches high-water mark
+    const int grows = session.arena().growth_events();
+    const std::int64_t cap = session.arena().capacity_bytes();
+    for (int i = 0; i < 5; ++i) conv.forward(ctx, input);
+    EXPECT_EQ(session.arena().growth_events(), grows) << "fuse=" << fuse;
+    EXPECT_EQ(session.arena().capacity_bytes(), cap) << "fuse=" << fuse;
   }
 }
 

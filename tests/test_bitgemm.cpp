@@ -233,8 +233,7 @@ TEST(BitGemm, BatchedForwardMatchesSeparateForwards) {
 /// the conv_path options field and the kConvGemm step variants the v3
 /// format added.
 TEST(BitGemm, ArtifactRoundTripWithGemmPathAndBatch) {
-  const std::string path =
-      ::testing::TempDir() + "phonebit_test_bitgemm.pba";
+  const std::string path = testing::temp_file("test_bitgemm.pba");
   const FloatModel model = FloatModel::random(models::quicknet(10), 740);
   auto net = core::convert_to_phonebit(model);
 

@@ -95,19 +95,30 @@ TEST(BitOps, PlaneDotIdentity) {
   }
 }
 
-TEST(BitOps, SelectPackWidthTracksChannelCount) {
-  using bitpack::select_pack_width;
-  EXPECT_EQ(select_pack_width(3), PackWidth::k8);
-  EXPECT_EQ(select_pack_width(8), PackWidth::k8);
-  EXPECT_EQ(select_pack_width(16), PackWidth::k16);
-  EXPECT_EQ(select_pack_width(31), PackWidth::k16);
-  EXPECT_EQ(select_pack_width(32), PackWidth::k32);
-  EXPECT_EQ(select_pack_width(64), PackWidth::k64);
-  EXPECT_EQ(select_pack_width(128), PackWidth::k128);
-  EXPECT_EQ(select_pack_width(256), PackWidth::k256);
-  EXPECT_EQ(select_pack_width(512), PackWidth::k512);
-  EXPECT_EQ(select_pack_width(1024), PackWidth::k1024);
-  EXPECT_EQ(select_pack_width(4096), PackWidth::k1024);
+TEST(BitOps, SelectPackWidthTracksSpanLength) {
+  using bitpack::select_pack_width_for_span;
+  // Spans shorter than two words never issue a vector op.
+  EXPECT_EQ(select_pack_width_for_span(0), PackWidth::k64);
+  EXPECT_EQ(select_pack_width_for_span(1), PackWidth::k64);
+  // Exact multiples take the widest vector that fits.
+  EXPECT_EQ(select_pack_width_for_span(2), PackWidth::k128);
+  EXPECT_EQ(select_pack_width_for_span(4), PackWidth::k256);
+  EXPECT_EQ(select_pack_width_for_span(8), PackWidth::k512);
+  EXPECT_EQ(select_pack_width_for_span(16), PackWidth::k1024);
+  EXPECT_EQ(select_pack_width_for_span(4096), PackWidth::k1024);
+  // The scalar tail counts: 3 words run 1 ulong2 op + 1 tail word (2
+  // instructions) rather than 3 scalar words.
+  EXPECT_EQ(select_pack_width_for_span(3), PackWidth::k128);
+  // 12 words: 3 exact ulong4 ops beat 1 ulong8 op + 4 tail words.
+  EXPECT_EQ(select_pack_width_for_span(12), PackWidth::k256);
+  // 7 words (a 7x7 filter row of one word): ulong4 + 3 tail words ties
+  // ulong2 x3 + 1 tail word at 4 instructions; ties go to the wider vector.
+  EXPECT_EQ(select_pack_width_for_span(7), PackWidth::k256);
+  // 24 words: 3 ulong8 ops beat 1 ulong16 op + 8 tail words.
+  EXPECT_EQ(select_pack_width_for_span(24), PackWidth::k512);
+  // 31 words: ulong4 x7 + 3 tail words and ulong8 x3 + 7 tail words both
+  // take 10 instructions, so the wider ulong8 wins (ulong16 takes 16).
+  EXPECT_EQ(select_pack_width_for_span(31), PackWidth::k512);
 }
 
 TEST(BitOps, ScalarHelpers) {

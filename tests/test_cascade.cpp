@@ -115,8 +115,7 @@ class CascadeTest : public ::testing::Test {
                          const EngineOptions& opts = {},
                          const std::string& profile = {},
                          bool redundant = false) {
-    const std::string path =
-        std::string(::testing::TempDir()) + "cascade_" + tag + ".pba";
+    const std::string path = testing::temp_file("cascade_" + tag + ".pba");
     const FloatModel model = redundant ? FloatModel::random_redundant(spec, seed)
                                        : FloatModel::random(spec, seed);
     auto net = core::convert_to_phonebit(model);

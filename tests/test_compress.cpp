@@ -272,8 +272,7 @@ class CompressArtifactTest : public ::testing::Test {
   }
 
   std::string temp_path(const std::string& tag) {
-    const std::string p =
-        std::string(::testing::TempDir()) + "phonebit_compress_" + tag + ".pba";
+    const std::string p = testing::temp_file("compress_" + tag + ".pba");
     temp_paths_.push_back(p);
     return p;
   }

@@ -98,7 +98,7 @@ TEST(Integration, FullPipelineQuicknet) {
   const auto model = FloatModel::random(models::quicknet(10), 600);
   auto net = core::convert_to_phonebit(model);
 
-  const std::string path = ::testing::TempDir() + "pipeline.pbm";
+  const std::string path = testing::temp_file("pipeline.pbm");
   core::save_model(*net, path);
   auto loaded = core::load_model(path);
   std::remove(path.c_str());

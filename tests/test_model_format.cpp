@@ -16,7 +16,7 @@ namespace {
 class ModelFormatTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "phonebit_test_model.pbm";
+  std::string path_ = testing::temp_file("test_model.pbm");
 };
 
 TEST_F(ModelFormatTest, RoundtripPreservesOutputs) {

@@ -139,8 +139,8 @@ class ModelServerTest : public ::testing::Test {
   }
 
   std::unique_ptr<core::Engine> engine_;
-  std::string path_v1_ = ::testing::TempDir() + "phonebit_ms_v1.pba";
-  std::string path_v2_ = ::testing::TempDir() + "phonebit_ms_v2.pba";
+  std::string path_v1_ = testing::temp_file("ms_v1.pba");
+  std::string path_v2_ = testing::temp_file("ms_v2.pba");
   std::vector<
       std::pair<std::string, std::shared_ptr<const artifact::LoadedArtifact>>>
       ref_cache_;
@@ -535,7 +535,7 @@ TEST_F(ModelServerTest, CorruptIncomingArtifactRollsBackTheSwap) {
 
   // A garbage file must be rejected at load validation — the swap throws
   // and the OLD artifact keeps serving, bit-exactly.
-  const std::string bad = ::testing::TempDir() + "phonebit_ms_bad.pba";
+  const std::string bad = testing::temp_file("ms_bad.pba");
   {
     std::ofstream os(bad, std::ios::binary);
     os << "this is not an artifact";

@@ -129,9 +129,6 @@ TEST(Plan, ArenaPeakMatchesLivenessPrediction) {
   EngineOptions no_integrate;
   no_integrate.integrate_packing = false;  // path B: u8 bit map
   cases.push_back({"separate-pack", no_integrate});
-  EngineOptions taps;
-  taps.interior_split = false;  // legacy zeros span in the words pool
-  cases.push_back({"per-tap", taps});
 
   const FloatModel model = quick_model(97);
   const U8Tensor image = datasets::cifar_like_image(98);
@@ -294,14 +291,13 @@ TEST(Plan, VariantsRecordAheadOfTimeSelection) {
       net->compile(engine, u8_desc(model.spec.input));
 
   // quicknet under paper defaults: every binary conv is narrow enough for
-  // the fully fused path A with the interior split on (and, followed by
-  // its pool, the conv→pool rewrite).
+  // the fully fused path A (and, followed by its pool, the conv→pool
+  // rewrite).
   bool saw_conv = false;
   for (const auto& step : plan.steps()) {
     if (step.variant.kernel.rfind("bconv_fused", 0) == 0) {
       saw_conv = true;
       EXPECT_EQ(step.variant.path, KernelVariant::Path::kConvFused);
-      EXPECT_TRUE(step.variant.interior_split);
       EXPECT_GT(step.variant.tile_ow, 0);
     }
   }

@@ -28,14 +28,15 @@ TEST(Session, SnapshotsOptionsAtCreation) {
   auto session = engine.create_session();
   // Reconfiguring the engine mid-flight must not reach the live session.
   engine.options().fuse_bn_binarize = false;
-  engine.options().conv_tile_ow = 1;
+  engine.options().packing_channel_threshold = 1;
   EXPECT_TRUE(session.options().fuse_bn_binarize);
-  EXPECT_EQ(session.options().conv_tile_ow, EngineOptions{}.conv_tile_ow);
+  EXPECT_EQ(session.options().packing_channel_threshold,
+            EngineOptions{}.packing_channel_threshold);
 
   // A session created after the mutation sees the new configuration.
   auto session2 = engine.create_session();
   EXPECT_FALSE(session2.options().fuse_bn_binarize);
-  EXPECT_EQ(session2.options().conv_tile_ow, 1);
+  EXPECT_EQ(session2.options().packing_channel_threshold, 1);
 }
 
 TEST(Session, SnapshotGovernsExecutionNotEngineState) {

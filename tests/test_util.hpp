@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
@@ -88,6 +91,14 @@ inline ::testing::AssertionResult expect_bitexact(
            << b.modeled_ms << " ms";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Path of a scratch file `name` under ::testing::TempDir(), prefixed with
+/// this process's id: test processes running at once (two builds' suites,
+/// or a suite and its soak) never share — and delete — each other's files.
+inline std::string temp_file(const std::string& name) {
+  return ::testing::TempDir() + "phonebit_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 /// Shared simulated device (SD855) for tests; host threads capped so unit
